@@ -239,6 +239,64 @@ void BM_MultiSemSignalWait(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiSemSignalWait)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
+// ---- Lazy (pcall) spawning (DESIGN.md §17) ----------------------------------
+
+// One SpawnLazy/JoinLazy pair that is never promoted: one worker, joined at
+// once, so the child runs inline.  The per-item time is the frame path's
+// whole cost next to a procedure call (BM_ProcedureCall).
+void BM_SpawnLazyJoinLazy(benchmark::State& state) {
+  sa::fibers::FiberPool pool(1);
+  constexpr int kBatch = 4096;
+  for (auto _ : state) {
+    auto driver = pool.Spawn([] {
+      sa::fibers::FiberPool* p = sa::fibers::FiberPool::Current();
+      for (int i = 0; i < kBatch; ++i) {
+        p->JoinLazy(p->SpawnLazy([] { NullProcedure(); }));
+      }
+    });
+    pool.Join(driver);
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_SpawnLazyJoinLazy)->UseRealTime();
+
+int64_t LazyFib(sa::fibers::FiberPool* pool, int n) {
+  if (n < 2) {
+    return n;
+  }
+  int64_t a = 0;
+  auto h = pool->SpawnLazy([pool, n, &a] { a = LazyFib(pool, n - 1); });
+  const int64_t b = LazyFib(pool, n - 2);
+  pool->JoinLazy(h);
+  return a + b;
+}
+
+// Lazy fib(24) — a SpawnLazy/JoinLazy pair per call, as the fork_join
+// workload of perfbench runs it — on 1/2/4/8 workers: the fork-join scaling
+// curve.  Items are frames (fib(25) - 1 per solve).
+void BM_LazyFib(benchmark::State& state) {
+  const int workers = static_cast<int>(state.range(0));
+  sa::fibers::FiberPool pool(workers);
+  constexpr int kN = 24;
+  constexpr int64_t kFrames = 75024;  // fib(kN + 1) - 1
+  int64_t result = 0;
+  for (auto _ : state) {
+    auto root = pool.Spawn([&] {
+      result = LazyFib(sa::fibers::FiberPool::Current(), kN);
+    });
+    pool.Join(root);
+  }
+  if (result != 46368) {
+    state.SkipWithError("wrong fib(24)");
+  }
+  state.SetItemsProcessed(state.iterations() * kFrames);
+  ReportSchedCounters(state, pool);
+  state.counters["lazy_promotions_per_solve"] = benchmark::Counter(
+      static_cast<double>(pool.stats().lazy_promotions),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LazyFib)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN() with two additions: these are *wall-clock*

@@ -1,6 +1,5 @@
 #include "src/fibers/fiber_pool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <utility>
@@ -40,20 +39,6 @@ namespace sa::fibers {
 namespace internal {
 
 // Per-kernel-thread scheduler state; lives on the WorkerLoop stack.
-// An unpromoted lazy spawn (SpawnLazy): the task exists only as its closure
-// plus an entry on the owning worker's promotion stack.  All state
-// transitions — promotion (any worker) and inline take (JoinLazy, possibly
-// from a fiber that migrated off the owner) — happen under the owner's
-// lazy_mu, so `promoted`/`handle` need no atomics.  The spawner allocates;
-// JoinLazy frees.
-struct LazyTask {
-  std::function<void()> fn;
-  uint64_t seq = 0;                      // global age stamp (oldest = lowest)
-  FiberPool::Worker* owner = nullptr;    // whose promotion stack holds it
-  bool promoted = false;                 // guarded by owner->lazy_mu
-  FiberHandle handle;                    // valid once promoted
-};
-
 struct WorkerState {
   FiberPool* pool = nullptr;
   FiberPool::Worker* worker = nullptr;
@@ -76,6 +61,17 @@ using internal::WorkerState;
 
 thread_local WorkerState* tls_worker = nullptr;
 
+// Re-reads tls_worker after a call that may have blocked the current fiber
+// and resumed it on another worker thread.  Out of line so the compiler
+// cannot reuse a thread-local address computed before the call.
+__attribute__((noinline)) WorkerState* CurrentWorkerState() {
+  return tls_worker;
+}
+
+// Keeps the lock-free lazy-frame count that dry workers poll off the lines
+// the owner writes on every dispatch.
+constexpr size_t kCacheLine = 64;
+
 // How often the dispatch loop prefers the global overflow queue over the
 // local deque, so externally spawned fibers cannot starve behind a worker
 // that always finds local work.  Prime, à la Go's runtime, so the check
@@ -89,7 +85,9 @@ constexpr uint64_t kOverflowPeriod = 61;
 constexpr int kSpinRounds = 2;
 
 // Per-worker free-list cap; beyond this, finished fibers go to the global
-// list so one worker cannot hoard every recycled stack.
+// list so one worker cannot hoard every recycled stack.  Lazy frames use the
+// same cap and are deleted beyond it (a fiber that migrates between spawn
+// and join returns its frame to another worker's list).
 constexpr size_t kMaxLocalFree = 256;
 
 // When a worker's local free list runs dry, pull this many recycled fibers
@@ -143,6 +141,11 @@ uint64_t SplitMix64(uint64_t x) {
 struct FiberPool::Worker {
   explicit Worker(int idx)
       : index(idx), rng_state(SplitMix64(static_cast<uint64_t>(idx) + 1)) {}
+  ~Worker() {
+    while (free_frames != nullptr) {
+      delete std::exchange(free_frames, free_frames->next);
+    }
+  }
 
   const int index;
 
@@ -161,13 +164,6 @@ struct FiberPool::Worker {
   uint64_t rng_state;  // victim scan order
   bool searching = false;  // holds the pool's "searching worker" token
 
-  // Promotion stack (lazy spawns pushed by fibers running here; oldest at
-  // the front).  A SpinLock, not the deque's lock-free protocol: pushes are
-  // rare relative to dispatches (one per SpawnLazy, not per schedule) and
-  // promoters/joiners from other workers need multi-field transactions.
-  SpinLock lazy_mu;
-  std::deque<internal::LazyTask*> lazy_frames;  // guarded by lazy_mu
-
   // Single-writer statistics (read cross-thread by stats()/switches()).
   std::atomic<uint64_t> switches{0};
   std::atomic<int64_t> live_delta{0};  // spawns minus completions, this worker
@@ -183,6 +179,48 @@ struct FiberPool::Worker {
   std::atomic<uint64_t> lazy_promotions{0};  // bumped by the promoting worker
   std::atomic<uint64_t> lazy_inlines{0};
   std::atomic<uint64_t> timeout_rescues{0};
+
+  // Lazy frames spawned by fibers running here: a doubly linked list
+  // through the frames, oldest at the head, so JoinLazy unlinks in O(1)
+  // and promotion takes the head.  A SpinLock, not a lock-free protocol:
+  // the owner takes it uncontended on every SpawnLazy/JoinLazy, and
+  // promoters from other workers (rare — a fraction of a percent of
+  // frames) need multi-field transactions.
+  alignas(kCacheLine) SpinLock lazy_mu;
+  internal::LazyTask* lazy_head = nullptr;  // oldest; guarded by lazy_mu
+  internal::LazyTask* lazy_tail = nullptr;  // newest; guarded by lazy_mu
+  internal::LazyTask* free_frames = nullptr;  // owner-only, next-linked
+  size_t num_free_frames = 0;                 // owner-only
+  // Frames on the list: written under lazy_mu, read lock-free by dry
+  // workers choosing whom to promote from.  Alone on the struct's last
+  // line, so those reads never share a line the owner writes per dispatch.
+  alignas(kCacheLine) std::atomic<int64_t> lazy_count{0};
+
+  // Pending-list edits; the caller holds lazy_mu.
+  void LinkFrame(internal::LazyTask* task) {
+    task->prev = lazy_tail;
+    task->next = nullptr;
+    (lazy_tail != nullptr ? lazy_tail->next : lazy_head) = task;
+    lazy_tail = task;
+    Bump(lazy_count, int64_t{1});
+  }
+  void UnlinkFrame(internal::LazyTask* task) {
+    (task->prev != nullptr ? task->prev->next : lazy_head) = task->next;
+    (task->next != nullptr ? task->next->prev : lazy_tail) = task->prev;
+    Bump(lazy_count, int64_t{-1});
+  }
+
+  // Owner-only: returns a resolved frame to this worker's free list.
+  void RecycleFrame(internal::LazyTask* task) {
+    task->owner = nullptr;
+    if (num_free_frames >= kMaxLocalFree) {
+      delete task;
+      return;
+    }
+    task->next = free_frames;
+    free_frames = task;
+    ++num_free_frames;
+  }
 };
 
 FiberPool::FiberPool(int workers, size_t stack_size)
@@ -213,6 +251,10 @@ FiberPool::~FiberPool() {
     live += wp->live_delta.load(std::memory_order_seq_cst);
   }
   SA_CHECK_MSG(live == 0, "destroying a pool with live fibers (join them)");
+  for (auto& wp : workers_) {
+    SA_CHECK_MSG(wp->lazy_count.load(std::memory_order_relaxed) == 0,
+                 "destroying a pool with unjoined lazy spawns");
+  }
   stopping_.store(true, std::memory_order_seq_cst);
   for (auto& wp : workers_) {
     { std::lock_guard<std::mutex> bridge(wp->park_mu); }  // wait/notify bridge
@@ -306,7 +348,8 @@ internal::Fiber* FiberPool::AllocFiber() {
   }
   all_fibers_.push_back(std::make_unique<internal::Fiber>());
   internal::Fiber* f = all_fibers_.back().get();
-  f->stack = std::make_unique<char[]>(stack_size_);
+  // Not zero-filled: untouched stack pages never become resident.
+  f->stack = std::make_unique_for_overwrite<char[]>(stack_size_);
   f->stack_size = stack_size_;
   f->pool = this;
   return f;
@@ -324,6 +367,13 @@ void FiberPool::RecycleFiber(internal::Fiber* fiber) {
 }
 
 FiberHandle FiberPool::Spawn(std::function<void()> fn) {
+  FiberHandle handle;
+  PushRunnable(NewFiber(std::move(fn), &handle));
+  return handle;
+}
+
+internal::Fiber* FiberPool::NewFiber(std::function<void()> fn,
+                                     FiberHandle* handle) {
   internal::Fiber* fiber = AllocFiber();
   // Generation bump, then done=false, both release stores: a stale handle
   // probing without the lock either sees done==true (the old incarnation
@@ -349,13 +399,12 @@ FiberHandle FiberPool::Spawn(std::function<void()> fn) {
     fiber->tsan_fiber = __tsan_create_fiber(0);
   }
 #endif
-  const FiberHandle handle(fiber, generation);
-  SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibSpawn,
+  *handle = FiberHandle(fiber, generation);
+  SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibSpawn,
                 trace::HostNow(),
                 state != nullptr && state->pool == this ? state->worker->index : -1,
                 -1, generation, 0);
-  PushRunnable(fiber);
-  return handle;
+  return fiber;
 }
 
 void FiberPool::PushRunnable(internal::Fiber* fiber) {
@@ -423,7 +472,7 @@ void FiberPool::WakeOne() {
       }
       w->park_cv.notify_one();
       w->wakeups.fetch_add(1, std::memory_order_relaxed);
-      SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibWake,
+      SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibWake,
                     trace::HostNow(), w->index, -1, 0, 0);
       return;  // wake at most one — no notify storms
     }
@@ -508,7 +557,7 @@ internal::Fiber* FiberPool::TrySteal(Worker* w) {
         if (workers_per_socket_ > 0) {
           Bump(same_group ? w->local_steals : w->remote_steals, got);
         }
-        SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibSteal,
+        SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibSteal,
                       trace::HostNow(), w->index, -1,
                       static_cast<uint64_t>(victim->index), got);
         return f;
@@ -550,13 +599,13 @@ void FiberPool::ParkWorker(Worker* w) {
     if (w->parked.compare_exchange_strong(expected, false,
                                           std::memory_order_seq_cst)) {
       num_parked_.fetch_sub(1, std::memory_order_relaxed);
+    } else {
+      AdoptClaim(w);  // a waker won the race for our slot
     }
-    // else a waker claimed us and already decremented; it may also set
-    // `notified`, which the next park consumes as a spurious wake.
     return;
   }
   Bump(w->parks);
-  SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibPark,
+  SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibPark,
                 trace::HostNow(), w->index, -1, 0, 0);
   bool claimed;
   {
@@ -582,10 +631,25 @@ void FiberPool::ParkWorker(Worker* w) {
       if (!stopping_.load(std::memory_order_relaxed) && AnyWorkVisible(w)) {
         Bump(w->timeout_rescues);
       }
+    } else {
+      AdoptClaim(w);  // a waker claimed us as the wait timed out
     }
-    // else a waker claimed us concurrently; its `notified` flag stays set
-    // and the next park consumes it as a spurious wake.
   }
+}
+
+void FiberPool::AdoptClaim(Worker* w) {
+  // The waker's CAS on `parked` beat ours, and it has already handed us the
+  // searching token (WakeOne).  Take the token now, consuming the
+  // `notified` flag the waker is about to set.  Leaving the flag for the
+  // next park to find, as a spurious wake, would leave the token unowned
+  // until then — and while any token is out, WakeOne wakes nobody, so a
+  // push made in that window waited out a parked worker's timeout.
+  {
+    std::unique_lock<std::mutex> lk(w->park_mu);
+    w->park_cv.wait(lk, [w] { return w->notified; });
+    w->notified = false;
+  }
+  w->searching = true;
 }
 
 internal::Fiber* FiberPool::PopRunnable(Worker* w) {
@@ -603,11 +667,10 @@ internal::Fiber* FiberPool::PopRunnable(Worker* w) {
       }
       // Promotion tick (the native heartbeat): a busy worker periodically
       // turns its oldest lazy frame into a real fiber so outstanding
-      // parallelism cannot sit unpromoted behind a long local run.  The
-      // relaxed gate keeps this off the hot path when SpawnLazy is unused.
-      if (lazy_outstanding_.load(std::memory_order_relaxed) > 0 &&
-          w->tick % kLazyTickPeriod == 0) {
-        PromoteOneLazy(w);
+      // parallelism cannot sit unpromoted behind a long local run.
+      if (w->tick % kLazyTickPeriod == 0 &&
+          w->lazy_count.load(std::memory_order_relaxed) > 0) {
+        PromoteOldest(w, w, trace::HbPromoteSource::kTick);
       }
       // Local dispatch takes the *oldest* fiber (a take from our own top):
       // FIFO locally means yielders alternate instead of re-running LIFO,
@@ -627,10 +690,9 @@ internal::Fiber* FiberPool::PopRunnable(Worker* w) {
       }
       // Dry worker: promote a lazy frame before spinning or parking — the
       // steal-side promotion that makes lazy spawns real parallelism the
-      // moment a processor wants work, and the drain that guarantees no
-      // worker parks while frames are outstanding.
-      if (lazy_outstanding_.load(std::memory_order_relaxed) > 0 &&
-          PromoteOneLazy(w)) {
+      // moment a processor wants work.  A frame pushed after this check
+      // while we park is caught by the push-time promotion in PushLazy.
+      if (PromoteOneLazy(w)) {
         continue;  // the promoted fiber is on our own deque now
       }
       // Local deque dry and first scan missed: spin briefly before
@@ -708,7 +770,7 @@ void FiberPool::WorkerLoop(int index) {
     }
     state.current = fiber;
     Bump(w->switches);
-    SA_TRACE_EMIT(tracer_, trace::cat::kFibers, trace::Kind::kFibSwitch,
+    SA_TRACE_EMIT(tracer(), trace::cat::kFibers, trace::Kind::kFibSwitch,
                   trace::HostNow(), index, -1,
                   fiber->generation.load(std::memory_order_relaxed), 0);
 #if defined(SA_FIBERS_TSAN)
@@ -825,67 +887,98 @@ void FiberPool::Join(FiberHandle handle) {
 // Lazy (pcall) spawning — the native heartbeat-promotion analogue.
 // ---------------------------------------------------------------------------
 
-LazyHandle FiberPool::SpawnLazy(std::function<void()> fn) {
+internal::LazyTask* FiberPool::NewLazyFrame() {
   WorkerState* state = tls_worker;
   SA_CHECK_MSG(
       state != nullptr && state->pool == this && state->current != nullptr,
       "SpawnLazy must be called from a fiber of this pool");
   Worker* w = state->worker;
-  auto* task = new internal::LazyTask;
-  task->fn = std::move(fn);
-  task->seq = lazy_seq_.fetch_add(1, std::memory_order_relaxed);
+  internal::LazyTask* task = w->free_frames;
+  if (task != nullptr) {
+    w->free_frames = task->next;
+    --w->num_free_frames;
+  } else {
+    task = new internal::LazyTask;
+  }
   task->owner = w;
+  return task;
+}
+
+LazyHandle FiberPool::PushLazy(internal::LazyTask* task) {
+  Worker* w = task->owner;
   {
     std::lock_guard<SpinLock> g(w->lazy_mu);
-    w->lazy_frames.push_back(task);
+    task->promoted = false;
+    w->LinkFrame(task);
   }
-  lazy_outstanding_.fetch_add(1, std::memory_order_relaxed);
   Bump(w->lazy_spawns);
-  SA_TRACE_EMIT(tracer_, trace::cat::kHeartbeat, trace::Kind::kHbLazyFork,
-                trace::HostNow(), w->index, -1, task->seq, 0);
+  SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbLazyFork,
+                trace::HostNow(), w->index, -1, 0, 0);
+  // Push-time promotion (DESIGN.md §17, path 3): a parked worker means
+  // latent parallelism is going unused, so hand it our oldest frame now
+  // rather than when its park times out.  Bounded three ways, all plain
+  // loads: only when a push would wake someone (wake_eagerly_), only while
+  // no worker is already searching (it will promote for itself), and only
+  // while our own deque is empty (an earlier promotion still waiting to be
+  // stolen is enough).  Without the searching bound, every push made while
+  // a woken worker is still on its way promotes another frame.
+  if (wake_eagerly_ && num_parked_.load(std::memory_order_relaxed) > 0 &&
+      num_searching_.load(std::memory_order_relaxed) == 0 &&
+      w->deque.EmptyApprox()) {
+    PromoteOldest(w, w, trace::HbPromoteSource::kDrain);
+  }
   return LazyHandle(task);
 }
 
-bool FiberPool::PromoteOneLazy(Worker* w) {
-  // Best-effort oldest-first: peek every promotion stack's front stamp,
-  // then take from the oldest.  The stack may change between the peek and
-  // the take (frames only move under their owner's lazy_mu), in which case
-  // we still take that owner's current oldest — strict global order is a
-  // property the simulated layer tests, not worth a global lock here.
-  Worker* best = nullptr;
-  uint64_t best_seq = ~uint64_t{0};
-  for (auto& vp : workers_) {
-    Worker* v = vp.get();
-    std::lock_guard<SpinLock> g(v->lazy_mu);
-    if (!v->lazy_frames.empty() && v->lazy_frames.front()->seq < best_seq) {
-      best_seq = v->lazy_frames.front()->seq;
-      best = v;
-    }
-  }
-  if (best == nullptr) {
-    return false;
-  }
-  uint64_t seq = 0;
+bool FiberPool::PromoteOldest(Worker* w, Worker* victim,
+                              [[maybe_unused]] trace::HbPromoteSource source) {
+  internal::Fiber* fiber;
   {
-    std::lock_guard<SpinLock> g(best->lazy_mu);
-    if (best->lazy_frames.empty()) {
+    std::lock_guard<SpinLock> g(victim->lazy_mu);
+    internal::LazyTask* task = victim->lazy_head;
+    if (task == nullptr) {
       return false;
     }
-    internal::LazyTask* task = best->lazy_frames.front();
-    best->lazy_frames.pop_front();
-    lazy_outstanding_.fetch_sub(1, std::memory_order_relaxed);
-    seq = task->seq;
-    // Spawn while still holding lazy_mu: JoinLazy must never find the frame
-    // gone with the handle not yet set.  We are on `w`'s thread, so the new
-    // fiber lands on `w`'s own deque — a dry promoter keeps what it took.
-    task->handle = Spawn(std::move(task->fn));
+    victim->UnlinkFrame(task);
+    // Set up the fiber under lazy_mu, so JoinLazy never finds the frame
+    // unlinked with the handle unset; push it after the unlock, so no wake
+    // happens under the lock.  The capture is one pointer, small enough
+    // for std::function's inline buffer.
+    fiber = NewFiber([task] { task->run(task->closure); }, &task->handle);
     task->promoted = true;
-    // `task` is unreachable for us past this block: the joiner owns it.
+    // `task` belongs to the joiner from here on.
   }
+  // We are on `w`'s thread, so the fiber lands on `w`'s own deque: a dry
+  // promoter keeps what it took.
+  PushRunnable(fiber);
   Bump(w->lazy_promotions);
-  SA_TRACE_EMIT(tracer_, trace::cat::kHeartbeat, trace::Kind::kHbPromote,
-                trace::HostNow(), w->index, -1, seq, 0);
+  SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbPromote,
+                trace::HostNow(), w->index, -1, 0,
+                static_cast<uint64_t>(source));
   return true;
+}
+
+bool FiberPool::PromoteOneLazy(Worker* w) {
+  // Own frames first: they belong to fibers that blocked here.  Otherwise
+  // the worker with the most pending frames — the deepest recursion, whose
+  // oldest frame is likely the largest subcomputation.  Only the counts are
+  // read, so a worker with no frames is never locked; the choice can go
+  // stale before the lock, in which case PromoteOldest finds none.
+  Worker* victim = nullptr;
+  if (w->lazy_count.load(std::memory_order_relaxed) > 0) {
+    victim = w;
+  } else {
+    int64_t most = 0;
+    for (auto& vp : workers_) {
+      const int64_t n = vp->lazy_count.load(std::memory_order_relaxed);
+      if (n > most) {
+        most = n;
+        victim = vp.get();
+      }
+    }
+  }
+  return victim != nullptr &&
+         PromoteOldest(w, victim, trace::HbPromoteSource::kSteal);
 }
 
 void FiberPool::JoinLazy(LazyHandle handle) {
@@ -896,34 +989,28 @@ void FiberPool::JoinLazy(LazyHandle handle) {
       state != nullptr && state->pool == this && state->current != nullptr,
       "JoinLazy must be called from a fiber of this pool");
   Worker* owner = task->owner;
-  bool inline_run = false;
+  SA_CHECK_MSG(owner != nullptr, "lazy handle already joined");
+  bool promoted;
   {
     std::lock_guard<SpinLock> g(owner->lazy_mu);
-    if (!task->promoted) {
-      auto& frames = owner->lazy_frames;
-      auto it = std::find(frames.begin(), frames.end(), task);
-      SA_CHECK_MSG(it != frames.end(),
-                   "lazy task neither pending nor promoted (double join?)");
-      frames.erase(it);
-      lazy_outstanding_.fetch_sub(1, std::memory_order_relaxed);
-      inline_run = true;
+    promoted = task->promoted;
+    if (!promoted) {
+      owner->UnlinkFrame(task);
     }
   }
-  if (inline_run) {
+  if (promoted) {
+    Join(task->handle);
+  } else {
     // The pcall payoff: nobody wanted the parallelism, so the child runs
     // right here on the joining fiber's stack — spawn + join collapsed to
     // a procedure call, no fiber, no deque, no wakeup.
     Bump(state->worker->lazy_inlines);
-    SA_TRACE_EMIT(tracer_, trace::cat::kHeartbeat, trace::Kind::kHbInline,
-                  trace::HostNow(), state->worker->index, -1, task->seq, 0);
-    std::function<void()> fn = std::move(task->fn);
-    delete task;
-    fn();
-    return;
+    SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbInline,
+                  trace::HostNow(), state->worker->index, -1, 0, 0);
+    task->run(task->closure);
   }
-  const FiberHandle h = task->handle;
-  delete task;
-  Join(h);
+  // Either branch may have blocked and resumed us on another worker.
+  CurrentWorkerState()->worker->RecycleFrame(task);
 }
 
 uint64_t FiberPool::switches() const {

@@ -15,10 +15,13 @@
 // dry — first a global overflow queue (fed by non-worker threads), then by
 // stealing from other workers in random order, and finally by parking on a
 // per-worker condition variable until a PushRunnable wakes exactly one
-// parked worker.  The pool-wide mutex survives only for external joins, the
-// overflow queue, fiber-slab allocation and shutdown.  (It deliberately does
-// NOT get scheduler activations: that requires the kernel support this
-// repository simulates — the point of the paper.)
+// parked worker.  Lazy spawns (SpawnLazy) follow the same rule: the closure
+// goes into a frame from the spawning worker's free list, pending on that
+// worker's own list, and only a promotion touches another worker's state.
+// The pool-wide mutex survives only for external joins, the overflow queue,
+// fiber-slab allocation and shutdown.  (It deliberately does NOT get
+// scheduler activations: that requires the kernel support this repository
+// simulates — the point of the paper.)
 
 #ifndef SA_FIBERS_FIBER_POOL_H_
 #define SA_FIBERS_FIBER_POOL_H_
@@ -30,7 +33,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/fibers/context.h"
@@ -68,7 +74,7 @@ struct Fiber {
 };
 
 struct WorkerState;  // per-kernel-thread scheduler state (fiber_pool.cc)
-struct LazyTask;     // an unpromoted lazy spawn (fiber_pool.cc)
+struct LazyTask;     // a lazy spawn's frame (defined below FiberPool)
 
 }  // namespace internal
 
@@ -86,7 +92,8 @@ class FiberHandle {
 };
 
 // Handle to a lazily spawned task (SpawnLazy); must be passed to JoinLazy
-// exactly once — the join is what runs a never-promoted task.
+// exactly once — the join is what runs a never-promoted task.  A plain
+// pointer: copies name the same frame.
 class LazyHandle {
  public:
   LazyHandle() = default;
@@ -158,19 +165,26 @@ class FiberPool {
 
   // Lazy (pcall) spawn — the native analogue of the simulated heartbeat
   // promotion (DESIGN.md §17).  The task starts as a frame on the calling
-  // worker's promotion stack, not a fiber: no stack allocation, no deque
-  // push, no wakeup.  It becomes a real fiber only if promoted — by the
-  // owner's dispatch-loop tick (the native stand-in for the heartbeat), by
-  // a worker that runs dry (steal-side promotion), or by the pre-park drain
-  // (no worker parks while frames are outstanding).  Must be called from a
-  // fiber of this pool.
-  LazyHandle SpawnLazy(std::function<void()> fn);
+  // worker's pending list, not a fiber: the closure is moved into the
+  // frame's inline buffer (at most kLazyClosureBytes — a static_assert
+  // enforces it), the frame comes from the worker's own free list, and
+  // nothing is allocated, woken or pushed.  It becomes a real fiber only if
+  // promoted — by the owner's dispatch-loop tick (the native stand-in for
+  // the heartbeat), by a worker that runs dry (steal-side promotion), or at
+  // push time when a worker is parked and none is searching.  Must be
+  // called from a fiber of this pool.
+  template <typename F>
+  LazyHandle SpawnLazy(F&& fn);
+
+  // Largest closure SpawnLazy stores inline in a frame.
+  static constexpr size_t kLazyClosureBytes = 64;
 
   // Resolves a lazy spawn: runs a still-unpromoted task inline on the
   // calling fiber's stack (a plain procedure call — the entire point), or
   // joins the promoted fiber.  Must be called exactly once per handle, from
-  // a fiber of this pool.  Join the newest spawns first so unpromoted
-  // frames inline while thieves take the oldest.
+  // a fiber of this pool (any worker — the fiber may have migrated since
+  // the spawn).  Join the newest spawns first so unpromoted frames inline
+  // while promotion takes the oldest.
   void JoinLazy(LazyHandle handle);
 
   // From inside a fiber: give up the processor to another runnable fiber.
@@ -212,8 +226,12 @@ class FiberPool {
 
   // Event tracing (cat::kFibers, host monotonic clock).  The buffer must
   // outlive the pool; read it back only after the pool is destroyed (workers
-  // emit concurrently).  Pass nullptr to detach.
-  void set_tracer(trace::TraceBuffer* tracer) { tracer_ = tracer; }
+  // emit concurrently).  Pass nullptr to detach.  Safe while the workers
+  // run: each emit site loads the pointer with acquire, pairing with this
+  // release store, so a worker sees the buffer fully set up or not at all.
+  void set_tracer(trace::TraceBuffer* tracer) {
+    tracer_.store(tracer, std::memory_order_release);
+  }
 
  private:
   friend class FiberMutex;
@@ -223,17 +241,34 @@ class FiberPool {
   struct Worker;
   static void FiberMain(void* arg);
 
+  trace::TraceBuffer* tracer() const {
+    return tracer_.load(std::memory_order_acquire);
+  }
+
+  // Spawn minus the final PushRunnable: the fiber is set up and its handle
+  // valid, but nobody can run it until it is pushed.
+  internal::Fiber* NewFiber(std::function<void()> fn, FiberHandle* handle);
+
   void WorkerLoop(int index);
 
   // Dispatch: local deque first, then overflow, then stealing, then park.
   internal::Fiber* PopRunnable(Worker* w);
   internal::Fiber* PopOverflow(Worker* w);
   internal::Fiber* TrySteal(Worker* w);
-  // Promotes one outstanding lazy frame (oldest-first, own stack preferred)
-  // into a real fiber on `w`'s deque.  Returns false if none was pending.
+  // The non-template halves of SpawnLazy: take a frame from the calling
+  // worker's free list, then publish it once the closure is in place.
+  internal::LazyTask* NewLazyFrame();
+  LazyHandle PushLazy(internal::LazyTask* task);
+  // Promotes `victim`'s oldest pending frame into a fiber on `w`'s deque.
+  // False if it had none.
+  bool PromoteOldest(Worker* w, Worker* victim, trace::HbPromoteSource source);
+  // Dry-worker promotion: `w`'s own frames first, else those of the worker
+  // with the most pending, chosen from the lock-free counts.
   bool PromoteOneLazy(Worker* w);
   bool AnyWorkVisible(const Worker* w) const;
   void ParkWorker(Worker* w);
+  // Un-park after losing the race for our parked slot to a waker.
+  void AdoptClaim(Worker* w);
   void WakeOne();
   void PushRunnable(internal::Fiber* fiber);
 
@@ -245,7 +280,7 @@ class FiberPool {
   const int workers_per_socket_;  // 0 = no grouping (flat steal scan)
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  trace::TraceBuffer* tracer_ = nullptr;
+  std::atomic<trace::TraceBuffer*> tracer_{nullptr};
 
   std::atomic<bool> stopping_{false};
   std::atomic<int> num_parked_{0};
@@ -263,10 +298,6 @@ class FiberPool {
   // worker ever blocks in a real syscall.
   bool wake_eagerly_ = true;
   std::atomic<size_t> overflow_size_{0};
-  // Outstanding lazy frames across all workers: the single relaxed load
-  // that keeps SpawnLazy entirely off the dispatch hot path when unused.
-  std::atomic<int64_t> lazy_outstanding_{0};
-  std::atomic<uint64_t> lazy_seq_{0};  // global age stamp (oldest-first)
   // Fibers spawned from non-worker threads; worker-side spawns and all
   // completions are tracked in per-worker deltas (summed at destruction).
   std::atomic<int64_t> live_external_{0};
@@ -306,6 +337,47 @@ class FiberSemaphore {
   int count_;
   std::deque<internal::Fiber*> waiters_;
 };
+
+namespace internal {
+
+// A lazy spawn's frame (SpawnLazy).  The closure lives in `closure`, and
+// `run` invokes it and then destroys it, so a frame is resolved by exactly
+// one call of `run`: inline in JoinLazy, or on the fiber a promotion
+// spawned.  Frames are recycled through per-worker free lists.  While
+// pending, a frame is linked (prev/next) into its owner's list, oldest at
+// the head; `promoted`, `handle` and the links change only under the
+// owner's lazy_mu.  On a free list, `next` is the free-list link and
+// `owner` is null.
+struct LazyTask {
+  void (*run)(void* closure) = nullptr;
+  FiberPool::Worker* owner = nullptr;
+  LazyTask* prev = nullptr;
+  LazyTask* next = nullptr;
+  bool promoted = false;
+  FiberHandle handle;  // valid once promoted
+  alignas(std::max_align_t) unsigned char closure[FiberPool::kLazyClosureBytes];
+};
+
+}  // namespace internal
+
+template <typename F>
+LazyHandle FiberPool::SpawnLazy(F&& fn) {
+  using Closure = std::decay_t<F>;
+  static_assert(sizeof(Closure) <= kLazyClosureBytes,
+                "SpawnLazy closure exceeds the frame's inline buffer");
+  static_assert(alignof(Closure) <= alignof(std::max_align_t),
+                "SpawnLazy closure is over-aligned for the frame");
+  internal::LazyTask* task = NewLazyFrame();
+  ::new (static_cast<void*>(task->closure)) Closure(std::forward<F>(fn));
+  task->run = [](void* closure) {
+    struct Destroy {  // destroys the closure even if it throws
+      Closure* c;
+      ~Destroy() { c->~Closure(); }
+    } destroy{std::launder(static_cast<Closure*>(closure))};
+    (*destroy.c)();
+  };
+  return PushLazy(task);
+}
 
 }  // namespace sa::fibers
 

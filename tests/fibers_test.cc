@@ -45,6 +45,56 @@ TEST(Fibers, TracerRecordsHostClockEvents) {
 #endif
 }
 
+// Attaching and detaching a tracer while the workers dispatch: every
+// dispatch reads the tracer pointer, so the store in set_tracer must be an
+// atomic publication (a plain pointer here is a data race ThreadSanitizer
+// reports).  The yield counter is relaxed on purpose — it must not order
+// the workers' reads after the attach for the race detector.
+TEST(Fibers, TracerAttachesWhileWorkersRun) {
+#if !SA_TRACE_ENABLED
+  GTEST_SKIP() << "built with SA_TRACE=OFF";
+#else
+  trace::TraceBuffer tb(1u << 14);
+  tb.set_enabled(trace::cat::kFibers);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> yields{0};
+  auto await_yields = [&](uint64_t n) {
+    const uint64_t target = yields.load(std::memory_order_relaxed) + n;
+    while (yields.load(std::memory_order_relaxed) < target) {
+      std::this_thread::yield();
+    }
+  };
+  {
+    FiberPool pool(2);
+    std::vector<FiberHandle> handles;
+    for (int i = 0; i < 4; ++i) {
+      handles.push_back(pool.Spawn([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          yields.fetch_add(1, std::memory_order_relaxed);
+          FiberPool::Yield();
+        }
+      }));
+    }
+    await_yields(1000);
+    pool.set_tracer(&tb);
+    await_yields(1000);
+    pool.set_tracer(nullptr);
+    await_yields(1000);
+    stop.store(true, std::memory_order_relaxed);
+    for (auto& h : handles) {
+      pool.Join(h);
+    }
+  }
+  size_t switches = 0;
+  for (const trace::Record& r : tb.Snapshot()) {
+    if (static_cast<trace::Kind>(r.kind) == trace::Kind::kFibSwitch) {
+      ++switches;
+    }
+  }
+  EXPECT_GT(switches, 0u);
+#endif
+}
+
 TEST(Fibers, RunsASingleFiber) {
   FiberPool pool(1);
   std::atomic<int> ran{0};
