@@ -12,9 +12,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <condition_variable>
+#include <cstdio>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/fibers/fiber_pool.h"
@@ -241,22 +245,25 @@ BENCHMARK(BM_MultiSemSignalWait)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // ---- Lazy (pcall) spawning (DESIGN.md §17) ----------------------------------
 
+// Pairs per BM_SpawnLazyJoinLazy iteration.
+constexpr int kLazyPairBatch = 4096;
+
 // One SpawnLazy/JoinLazy pair that is never promoted: one worker, joined at
 // once, so the child runs inline.  The per-item time is the frame path's
-// whole cost next to a procedure call (BM_ProcedureCall).
+// whole cost next to a procedure call (BM_ProcedureCall); main gates the
+// ratio.
 void BM_SpawnLazyJoinLazy(benchmark::State& state) {
   sa::fibers::FiberPool pool(1);
-  constexpr int kBatch = 4096;
   for (auto _ : state) {
     auto driver = pool.Spawn([] {
       sa::fibers::FiberPool* p = sa::fibers::FiberPool::Current();
-      for (int i = 0; i < kBatch; ++i) {
+      for (int i = 0; i < kLazyPairBatch; ++i) {
         p->JoinLazy(p->SpawnLazy([] { NullProcedure(); }));
       }
     });
     pool.Join(driver);
   }
-  state.SetItemsProcessed(state.iterations() * kBatch);
+  state.SetItemsProcessed(state.iterations() * kLazyPairBatch);
 }
 BENCHMARK(BM_SpawnLazyJoinLazy)->UseRealTime();
 
@@ -297,14 +304,85 @@ void BM_LazyFib(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyFib)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
+// The lazy-overhead gate: an unpromoted SpawnLazy/JoinLazy pair must cost
+// at most this many procedure calls measured in the same run.  The pair is
+// a frame from a free list, a list link and unlink, and an indirect call of
+// the child; with a spinlock taken on each side it measured 20-24x on a
+// 4-vCPU x86-64 host, without it about 11-12x.
+constexpr double kMaxPairPerCall = 16.0;
+
+// Passes every run on to the display reporter the flags chose, recording
+// on the way the wall time of BM_ProcedureCall and of one lazy pair: one
+// sample per repetition, plus the median of the repetitions when it is
+// reported (the only sample under --benchmark_*_aggregates_only; adding a
+// set's median to the set leaves its median unchanged).
+class LazyOverheadGate : public benchmark::BenchmarkReporter {
+ public:
+  explicit LazyOverheadGate(benchmark::BenchmarkReporter* display)
+      : display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.error_occurred || (run.run_type != Run::RT_Iteration &&
+                                 run.aggregate_name != "median")) {
+        continue;
+      }
+      const double ns = run.GetAdjustedRealTime() /
+                        benchmark::GetTimeUnitMultiplier(run.time_unit) * 1e9;
+      if (run.run_name.function_name == "BM_ProcedureCall") {
+        call_ns_.push_back(ns);
+      } else if (run.run_name.function_name == "BM_SpawnLazyJoinLazy") {
+        pair_ns_.push_back(ns / kLazyPairBatch);
+      }
+    }
+    display_->ReportRuns(runs);
+  }
+  void Finalize() override { display_->Finalize(); }
+
+  // Prints the verdict on stderr; false when the pair is over the bound.
+  // Skipped (true) when a filter excluded either benchmark.
+  bool Check() const {
+    if (call_ns_.empty() || pair_ns_.empty()) {
+      std::fprintf(stderr,
+                   "lazy-overhead gate: skipped (BM_ProcedureCall and "
+                   "BM_SpawnLazyJoinLazy did not both run)\n");
+      return true;
+    }
+    const double call = Median(call_ns_);
+    const double pair = Median(pair_ns_);
+    const double ratio = pair / call;
+    const bool ok = ratio <= kMaxPairPerCall;
+    std::fprintf(stderr,
+                 "lazy-overhead gate: one SpawnLazy/JoinLazy pair %.2f ns = "
+                 "%.1fx a procedure call (%.2f ns); bound %.0fx: %s\n",
+                 pair, ratio, call, kMaxPairPerCall, ok ? "ok" : "FAILED");
+    return ok;
+  }
+
+ private:
+  static double Median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  }
+
+  benchmark::BenchmarkReporter* display_;
+  std::vector<double> call_ns_;
+  std::vector<double> pair_ns_;
+};
+
 }  // namespace
 
-// Expanded BENCHMARK_MAIN() with two additions: these are *wall-clock*
+// Expanded BENCHMARK_MAIN() with three additions: these are *wall-clock*
 // numbers, so a debug build warns on stderr and tags the JSON context
 // (google-benchmark's own library_build_type field describes the benchmark
-// library, not this binary) — and a debug build asked to *record* (write a
-// JSON file) exits nonzero instead, so a mislabeled baseline cannot be
-// checked in again.
+// library, not this binary); a debug build asked to *record* (write a JSON
+// file) exits nonzero instead, so a mislabeled baseline cannot be checked
+// in again; and the lazy-overhead gate exits nonzero when a lazy pair
+// costs more than kMaxPairPerCall procedure calls.
 int main(int argc, char** argv) {
   sa::bench::WarnIfDebugBuild("bench_fibers_native");
   if (sa::bench::RefuseDebugRecord("bench_fibers_native", argc, argv)) {
@@ -315,7 +393,10 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
+  std::unique_ptr<benchmark::BenchmarkReporter> display(
+      benchmark::CreateDefaultDisplayReporter());
+  LazyOverheadGate gate(display.get());
+  benchmark::RunSpecifiedBenchmarks(&gate);
   benchmark::Shutdown();
-  return 0;
+  return gate.Check() ? 0 : 1;
 }

@@ -1,7 +1,13 @@
 #include "src/fibers/fiber_pool.h"
 
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "src/common/assert.h"
@@ -38,6 +44,12 @@ namespace sa::fibers {
 
 namespace internal {
 
+constinit thread_local LazyFrames* tls_lazy_frames = nullptr;
+
+__attribute__((noinline)) LazyFrames* CurrentLazyFrames() {
+  return tls_lazy_frames;
+}
+
 // Per-kernel-thread scheduler state; lives on the WorkerLoop stack.
 struct WorkerState {
   FiberPool* pool = nullptr;
@@ -57,20 +69,10 @@ struct WorkerState {
 
 namespace {
 
+using internal::Bump;
 using internal::WorkerState;
 
 thread_local WorkerState* tls_worker = nullptr;
-
-// Re-reads tls_worker after a call that may have blocked the current fiber
-// and resumed it on another worker thread.  Out of line so the compiler
-// cannot reuse a thread-local address computed before the call.
-__attribute__((noinline)) WorkerState* CurrentWorkerState() {
-  return tls_worker;
-}
-
-// Keeps the lock-free lazy-frame count that dry workers poll off the lines
-// the owner writes on every dispatch.
-constexpr size_t kCacheLine = 64;
 
 // How often the dispatch loop prefers the global overflow queue over the
 // local deque, so externally spawned fibers cannot starve behind a worker
@@ -85,10 +87,9 @@ constexpr uint64_t kOverflowPeriod = 61;
 constexpr int kSpinRounds = 2;
 
 // Per-worker free-list cap; beyond this, finished fibers go to the global
-// list so one worker cannot hoard every recycled stack.  Lazy frames use the
-// same cap and are deleted beyond it (a fiber that migrates between spawn
-// and join returns its frame to another worker's list).
-constexpr size_t kMaxLocalFree = 256;
+// list so one worker cannot hoard every recycled stack.  The same cap as the
+// lazy-frame free lists'.
+constexpr size_t kMaxLocalFree = internal::LazyFrames::kMaxFree;
 
 // When a worker's local free list runs dry, pull this many recycled fibers
 // from the global list in one critical section instead of one per spawn.
@@ -118,13 +119,9 @@ constexpr auto kParkTimeout = std::chrono::milliseconds(8);
 // asynchronous beat in a library that never interrupts its workers).
 constexpr uint64_t kLazyTickPeriod = 16;
 
-// Single-writer counter bump: no lock-prefixed RMW, just a load and a store
-// (the counters are atomics only so cross-thread readers are race-free).
-template <typename T>
-inline void Bump(std::atomic<T>& counter, T delta = 1) {
-  counter.store(counter.load(std::memory_order_relaxed) + delta,
-                std::memory_order_relaxed);
-}
+// Pause-spins a remote party makes waiting for an owner section to end
+// before it yields the processor (the owner may have been preempted).
+constexpr int kOwnerWaitSpins = 64;
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -133,19 +130,67 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The remote side of the lazy-frame handshake needs the process registered
+// for private expedited membarriers.  Once per process, from the first
+// FiberPool: a program that never builds a pool runs none of this.
+void RegisterMembarrier() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    const long rc = syscall(__NR_membarrier,
+                            MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED, 0, 0);
+    SA_CHECK_MSG(rc == 0, std::strerror(errno));
+  });
+}
+
+// The remote side of the handshake (internal::LazyFrames), for one
+// operation on another worker's pending list: take mu, raise remote_req,
+// force a full barrier on every running thread, then wait out any owner
+// section the barrier caught in progress.
+class RemoteSection {
+ public:
+  explicit RemoteSection(internal::LazyFrames& frames) : frames_(frames) {
+    frames_.mu.lock();
+    frames_.remote_req.store(true, std::memory_order_seq_cst);
+    const long rc =
+        syscall(__NR_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0);
+    SA_CHECK_MSG(rc == 0, std::strerror(errno));
+    for (int spins = 0; frames_.owner_in.load(std::memory_order_acquire);
+         ++spins) {
+      if (spins >= kOwnerWaitSpins) {
+        std::this_thread::yield();
+      } else {
+        __builtin_ia32_pause();
+      }
+    }
+  }
+  ~RemoteSection() {
+    frames_.remote_req.store(false, std::memory_order_release);
+    frames_.mu.unlock();
+  }
+  RemoteSection(const RemoteSection&) = delete;
+  RemoteSection& operator=(const RemoteSection&) = delete;
+
+ private:
+  internal::LazyFrames& frames_;
+};
+
 }  // namespace
+
+void internal::LazyFrames::OwnerLock() {
+  owner_in.store(false, std::memory_order_release);
+  mu.lock();
+}
+
+internal::LazyTask* internal::LazyFrames::NewFrame() { return new LazyTask; }
 
 // Per-worker scheduler: the FastThreads per-processor structure (paper
 // Section 4.2) — a lock-free ready deque, an unlocked free list, a parking
-// slot, and steal statistics.
+// slot, steal statistics, and the lazy frames its fibers spawned.
 struct FiberPool::Worker {
-  explicit Worker(int idx)
-      : index(idx), rng_state(SplitMix64(static_cast<uint64_t>(idx) + 1)) {}
-  ~Worker() {
-    while (free_frames != nullptr) {
-      delete std::exchange(free_frames, free_frames->next);
-    }
-  }
+  Worker(FiberPool* pool, int idx)
+      : index(idx),
+        rng_state(SplitMix64(static_cast<uint64_t>(idx) + 1)),
+        lazy(pool, idx) {}
 
   const int index;
 
@@ -175,52 +220,11 @@ struct FiberPool::Worker {
   std::atomic<uint64_t> remote_steals{0};  // crossed worker groups
   std::atomic<uint64_t> parks{0};
   std::atomic<uint64_t> wakeups{0};  // multi-writer: bumped by wakers
-  std::atomic<uint64_t> lazy_spawns{0};
   std::atomic<uint64_t> lazy_promotions{0};  // bumped by the promoting worker
-  std::atomic<uint64_t> lazy_inlines{0};
   std::atomic<uint64_t> timeout_rescues{0};
 
-  // Lazy frames spawned by fibers running here: a doubly linked list
-  // through the frames, oldest at the head, so JoinLazy unlinks in O(1)
-  // and promotion takes the head.  A SpinLock, not a lock-free protocol:
-  // the owner takes it uncontended on every SpawnLazy/JoinLazy, and
-  // promoters from other workers (rare — a fraction of a percent of
-  // frames) need multi-field transactions.
-  alignas(kCacheLine) SpinLock lazy_mu;
-  internal::LazyTask* lazy_head = nullptr;  // oldest; guarded by lazy_mu
-  internal::LazyTask* lazy_tail = nullptr;  // newest; guarded by lazy_mu
-  internal::LazyTask* free_frames = nullptr;  // owner-only, next-linked
-  size_t num_free_frames = 0;                 // owner-only
-  // Frames on the list: written under lazy_mu, read lock-free by dry
-  // workers choosing whom to promote from.  Alone on the struct's last
-  // line, so those reads never share a line the owner writes per dispatch.
-  alignas(kCacheLine) std::atomic<int64_t> lazy_count{0};
-
-  // Pending-list edits; the caller holds lazy_mu.
-  void LinkFrame(internal::LazyTask* task) {
-    task->prev = lazy_tail;
-    task->next = nullptr;
-    (lazy_tail != nullptr ? lazy_tail->next : lazy_head) = task;
-    lazy_tail = task;
-    Bump(lazy_count, int64_t{1});
-  }
-  void UnlinkFrame(internal::LazyTask* task) {
-    (task->prev != nullptr ? task->prev->next : lazy_head) = task->next;
-    (task->next != nullptr ? task->next->prev : lazy_tail) = task->prev;
-    Bump(lazy_count, int64_t{-1});
-  }
-
-  // Owner-only: returns a resolved frame to this worker's free list.
-  void RecycleFrame(internal::LazyTask* task) {
-    task->owner = nullptr;
-    if (num_free_frames >= kMaxLocalFree) {
-      delete task;
-      return;
-    }
-    task->next = free_frames;
-    free_frames = task;
-    ++num_free_frames;
-  }
+  // Last, so its count's cache line is the struct's last line.
+  internal::LazyFrames lazy;
 };
 
 FiberPool::FiberPool(int workers, size_t stack_size)
@@ -231,13 +235,14 @@ FiberPool::FiberPool(int workers, const FiberPoolOptions& options)
       workers_per_socket_(options.workers_per_socket) {
   SA_CHECK(workers >= 1);
   SA_CHECK(options.workers_per_socket >= 0);
+  RegisterMembarrier();
   spin_rounds_ = kSpinRounds;
   wake_eagerly_ = options.wake_eagerly < 0
                       ? std::thread::hardware_concurrency() > 1
                       : options.wake_eagerly != 0;
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(i));
+    workers_.push_back(std::make_unique<Worker>(this, i));
   }
   threads_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
@@ -252,7 +257,7 @@ FiberPool::~FiberPool() {
   }
   SA_CHECK_MSG(live == 0, "destroying a pool with live fibers (join them)");
   for (auto& wp : workers_) {
-    SA_CHECK_MSG(wp->lazy_count.load(std::memory_order_relaxed) == 0,
+    SA_CHECK_MSG(wp->lazy.count.load(std::memory_order_relaxed) == 0,
                  "destroying a pool with unjoined lazy spawns");
   }
   stopping_.store(true, std::memory_order_seq_cst);
@@ -669,7 +674,7 @@ internal::Fiber* FiberPool::PopRunnable(Worker* w) {
       // turns its oldest lazy frame into a real fiber so outstanding
       // parallelism cannot sit unpromoted behind a long local run.
       if (w->tick % kLazyTickPeriod == 0 &&
-          w->lazy_count.load(std::memory_order_relaxed) > 0) {
+          w->lazy.count.load(std::memory_order_relaxed) > 0) {
         PromoteOldest(w, w, trace::HbPromoteSource::kTick);
       }
       // Local dispatch takes the *oldest* fiber (a take from our own top):
@@ -691,7 +696,7 @@ internal::Fiber* FiberPool::PopRunnable(Worker* w) {
       // Dry worker: promote a lazy frame before spinning or parking — the
       // steal-side promotion that makes lazy spawns real parallelism the
       // moment a processor wants work.  A frame pushed after this check
-      // while we park is caught by the push-time promotion in PushLazy.
+      // while we park is caught by the push-time promotion in SpawnLazy.
       if (PromoteOneLazy(w)) {
         continue;  // the promoted fiber is on our own deque now
       }
@@ -763,6 +768,7 @@ void FiberPool::WorkerLoop(int index) {
   }
 #endif
   tls_worker = &state;
+  internal::tls_lazy_frames = &w->lazy;
   for (;;) {
     internal::Fiber* fiber = PopRunnable(w);
     if (fiber == nullptr) {
@@ -791,6 +797,7 @@ void FiberPool::WorkerLoop(int index) {
       post(state.post_a, state.post_b);
     }
   }
+  internal::tls_lazy_frames = nullptr;
   tls_worker = nullptr;
 }
 
@@ -887,66 +894,40 @@ void FiberPool::Join(FiberHandle handle) {
 // Lazy (pcall) spawning — the native heartbeat-promotion analogue.
 // ---------------------------------------------------------------------------
 
-internal::LazyTask* FiberPool::NewLazyFrame() {
-  WorkerState* state = tls_worker;
-  SA_CHECK_MSG(
-      state != nullptr && state->pool == this && state->current != nullptr,
-      "SpawnLazy must be called from a fiber of this pool");
-  Worker* w = state->worker;
-  internal::LazyTask* task = w->free_frames;
-  if (task != nullptr) {
-    w->free_frames = task->next;
-    --w->num_free_frames;
-  } else {
-    task = new internal::LazyTask;
-  }
-  task->owner = w;
-  return task;
-}
-
-LazyHandle FiberPool::PushLazy(internal::LazyTask* task) {
-  Worker* w = task->owner;
-  {
-    std::lock_guard<SpinLock> g(w->lazy_mu);
-    task->promoted = false;
-    w->LinkFrame(task);
-  }
-  Bump(w->lazy_spawns);
-  SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbLazyFork,
-                trace::HostNow(), w->index, -1, 0, 0);
-  // Push-time promotion (DESIGN.md §17, path 3): a parked worker means
-  // latent parallelism is going unused, so hand it our oldest frame now
-  // rather than when its park times out.  Bounded three ways, all plain
-  // loads: only when a push would wake someone (wake_eagerly_), only while
-  // no worker is already searching (it will promote for itself), and only
-  // while our own deque is empty (an earlier promotion still waiting to be
-  // stolen is enough).  Without the searching bound, every push made while
-  // a woken worker is still on its way promotes another frame.
-  if (wake_eagerly_ && num_parked_.load(std::memory_order_relaxed) > 0 &&
-      num_searching_.load(std::memory_order_relaxed) == 0 &&
-      w->deque.EmptyApprox()) {
+void FiberPool::PromoteAtPush() {
+  Worker* w = tls_worker->worker;
+  if (w->deque.EmptyApprox()) {
     PromoteOldest(w, w, trace::HbPromoteSource::kDrain);
   }
-  return LazyHandle(task);
 }
 
 bool FiberPool::PromoteOldest(Worker* w, Worker* victim,
                               [[maybe_unused]] trace::HbPromoteSource source) {
-  internal::Fiber* fiber;
-  {
-    std::lock_guard<SpinLock> g(victim->lazy_mu);
-    internal::LazyTask* task = victim->lazy_head;
+  internal::LazyFrames& frames = victim->lazy;
+  internal::Fiber* fiber = nullptr;
+  const auto take_oldest = [&] {
+    internal::LazyTask* task = frames.head;
     if (task == nullptr) {
-      return false;
+      return;
     }
-    victim->UnlinkFrame(task);
-    // Set up the fiber under lazy_mu, so JoinLazy never finds the frame
-    // unlinked with the handle unset; push it after the unlock, so no wake
-    // happens under the lock.  The capture is one pointer, small enough
-    // for std::function's inline buffer.
+    frames.UnlinkFrame(task);
+    // Set up the fiber inside the handshake, so JoinLazy never finds the
+    // frame unlinked with the handle unset; push it afterwards, so no wake
+    // happens inside.  The capture is one pointer, small enough for
+    // std::function's inline buffer.
     fiber = NewFiber([task] { task->run(task->closure); }, &task->handle);
     task->promoted = true;
     // `task` belongs to the joiner from here on.
+  };
+  if (victim == w) {
+    internal::OwnerSection owned(frames);
+    take_oldest();
+  } else {
+    RemoteSection remote(frames);
+    take_oldest();
+  }
+  if (fiber == nullptr) {
+    return false;
   }
   // We are on `w`'s thread, so the fiber lands on `w`'s own deque: a dry
   // promoter keeps what it took.
@@ -962,15 +943,16 @@ bool FiberPool::PromoteOneLazy(Worker* w) {
   // Own frames first: they belong to fibers that blocked here.  Otherwise
   // the worker with the most pending frames — the deepest recursion, whose
   // oldest frame is likely the largest subcomputation.  Only the counts are
-  // read, so a worker with no frames is never locked; the choice can go
-  // stale before the lock, in which case PromoteOldest finds none.
+  // read, so a worker with no frames is never asked for its list; the
+  // choice can go stale before the handshake, in which case PromoteOldest
+  // finds none.
   Worker* victim = nullptr;
-  if (w->lazy_count.load(std::memory_order_relaxed) > 0) {
+  if (w->lazy.count.load(std::memory_order_relaxed) > 0) {
     victim = w;
   } else {
     int64_t most = 0;
     for (auto& vp : workers_) {
-      const int64_t n = vp->lazy_count.load(std::memory_order_relaxed);
+      const int64_t n = vp->lazy.count.load(std::memory_order_relaxed);
       if (n > most) {
         most = n;
         victim = vp.get();
@@ -981,36 +963,26 @@ bool FiberPool::PromoteOneLazy(Worker* w) {
          PromoteOldest(w, victim, trace::HbPromoteSource::kSteal);
 }
 
-void FiberPool::JoinLazy(LazyHandle handle) {
-  internal::LazyTask* task = handle.task_;
-  SA_CHECK_MSG(task != nullptr, "joining a null lazy handle");
-  WorkerState* state = tls_worker;
-  SA_CHECK_MSG(
-      state != nullptr && state->pool == this && state->current != nullptr,
-      "JoinLazy must be called from a fiber of this pool");
-  Worker* owner = task->owner;
-  SA_CHECK_MSG(owner != nullptr, "lazy handle already joined");
+void FiberPool::JoinLazyRemote(internal::LazyTask* task) {
   bool promoted;
   {
-    std::lock_guard<SpinLock> g(owner->lazy_mu);
+    RemoteSection remote(*task->owner);
     promoted = task->promoted;
     if (!promoted) {
-      owner->UnlinkFrame(task);
+      task->owner->UnlinkFrame(task);
     }
   }
   if (promoted) {
-    Join(task->handle);
+    JoinPromoted(task);
   } else {
-    // The pcall payoff: nobody wanted the parallelism, so the child runs
-    // right here on the joining fiber's stack — spawn + join collapsed to
-    // a procedure call, no fiber, no deque, no wakeup.
-    Bump(state->worker->lazy_inlines);
-    SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbInline,
-                  trace::HostNow(), state->worker->index, -1, 0, 0);
-    task->run(task->closure);
+    RunLazyInline(internal::tls_lazy_frames, task);
   }
-  // Either branch may have blocked and resumed us on another worker.
-  CurrentWorkerState()->worker->RecycleFrame(task);
+}
+
+void FiberPool::JoinPromoted(internal::LazyTask* task) {
+  Join(task->handle);
+  // Join may have blocked and resumed us on another worker.
+  internal::CurrentLazyFrames()->RecycleFrame(task);
 }
 
 uint64_t FiberPool::switches() const {
@@ -1032,9 +1004,9 @@ FiberPoolStats FiberPool::stats() const {
     s.remote_steals += wp->remote_steals.load(std::memory_order_relaxed);
     s.parks += wp->parks.load(std::memory_order_relaxed);
     s.wakeups += wp->wakeups.load(std::memory_order_relaxed);
-    s.lazy_spawns += wp->lazy_spawns.load(std::memory_order_relaxed);
+    s.lazy_spawns += wp->lazy.spawns.load(std::memory_order_relaxed);
     s.lazy_promotions += wp->lazy_promotions.load(std::memory_order_relaxed);
-    s.lazy_inlines += wp->lazy_inlines.load(std::memory_order_relaxed);
+    s.lazy_inlines += wp->lazy.inlines.load(std::memory_order_relaxed);
     s.timeout_rescues += wp->timeout_rescues.load(std::memory_order_relaxed);
   }
   return s;

@@ -15,13 +15,17 @@
 // dry — first a global overflow queue (fed by non-worker threads), then by
 // stealing from other workers in random order, and finally by parking on a
 // per-worker condition variable until a PushRunnable wakes exactly one
-// parked worker.  Lazy spawns (SpawnLazy) follow the same rule: the closure
-// goes into a frame from the spawning worker's free list, pending on that
-// worker's own list, and only a promotion touches another worker's state.
-// The pool-wide mutex survives only for external joins, the overflow queue,
-// fiber-slab allocation and shutdown.  (It deliberately does NOT get
-// scheduler activations: that requires the kernel support this repository
-// simulates — the point of the paper.)
+// parked worker.  Lazy spawns (SpawnLazy) follow the same rule, inlined into
+// the caller: the closure goes into a frame from the spawning worker's free
+// list, pending on that worker's own list, and the owner edits that list
+// with no lock, read-modify-write or hardware fence.  Only the rare remote
+// party — a promoting dry worker, or a join from a fiber that migrated —
+// pays, with a lock and a membarrier (internal::LazyFrames; the same
+// common-path-free, rare-path-recovers split as the paper's Section 4.3
+// critical sections).  The pool-wide mutex survives only for external
+// joins, the overflow queue, fiber-slab allocation and shutdown.  (It
+// deliberately does NOT get scheduler activations: that requires the kernel
+// support this repository simulates — the point of the paper.)
 
 #ifndef SA_FIBERS_FIBER_POOL_H_
 #define SA_FIBERS_FIBER_POOL_H_
@@ -39,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/assert.h"
 #include "src/fibers/context.h"
 #include "src/fibers/spinlock.h"
 #include "src/trace/trace.h"
@@ -75,6 +80,15 @@ struct Fiber {
 
 struct WorkerState;  // per-kernel-thread scheduler state (fiber_pool.cc)
 struct LazyTask;     // a lazy spawn's frame (defined below FiberPool)
+struct LazyFrames;   // a worker's lazy-frame lists (defined below FiberPool)
+
+// Single-writer counter bump: no lock-prefixed RMW, just a load and a store
+// (the counters are atomics only so cross-thread readers are race-free).
+template <typename T>
+inline void Bump(std::atomic<T>& counter, T delta = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
+}
 
 }  // namespace internal
 
@@ -168,7 +182,8 @@ class FiberPool {
   // worker's pending list, not a fiber: the closure is moved into the
   // frame's inline buffer (at most kLazyClosureBytes — a static_assert
   // enforces it), the frame comes from the worker's own free list, and
-  // nothing is allocated, woken or pushed.  It becomes a real fiber only if
+  // nothing is allocated, woken or pushed; the list edit takes no lock and
+  // no fence (internal::LazyFrames).  It becomes a real fiber only if
   // promoted — by the owner's dispatch-loop tick (the native stand-in for
   // the heartbeat), by a worker that runs dry (steal-side promotion), or at
   // push time when a worker is parked and none is searching.  Must be
@@ -237,7 +252,6 @@ class FiberPool {
   friend class FiberMutex;
   friend class FiberSemaphore;
   friend struct internal::WorkerState;  // names the private Worker type
-  friend struct internal::LazyTask;     // likewise (owning worker pointer)
   struct Worker;
   static void FiberMain(void* arg);
 
@@ -255,10 +269,15 @@ class FiberPool {
   internal::Fiber* PopRunnable(Worker* w);
   internal::Fiber* PopOverflow(Worker* w);
   internal::Fiber* TrySteal(Worker* w);
-  // The non-template halves of SpawnLazy: take a frame from the calling
-  // worker's free list, then publish it once the closure is in place.
-  internal::LazyTask* NewLazyFrame();
-  LazyHandle PushLazy(internal::LazyTask* task);
+  // The out-of-line halves of SpawnLazy and JoinLazy.  Push-time promotion
+  // (its deque check and the promotion); the join of a frame owned by
+  // another worker; the join of a promoted frame.
+  void PromoteAtPush();
+  void JoinLazyRemote(internal::LazyTask* task);
+  void JoinPromoted(internal::LazyTask* task);
+  // JoinLazy's tail for an unlinked, unpromoted frame, on the worker whose
+  // `frames` are current.
+  void RunLazyInline(internal::LazyFrames* frames, internal::LazyTask* task);
   // Promotes `victim`'s oldest pending frame into a fiber on `w`'s deque.
   // False if it had none.
   bool PromoteOldest(Worker* w, Worker* victim, trace::HbPromoteSource source);
@@ -345,18 +364,167 @@ namespace internal {
 // one call of `run`: inline in JoinLazy, or on the fiber a promotion
 // spawned.  Frames are recycled through per-worker free lists.  While
 // pending, a frame is linked (prev/next) into its owner's list, oldest at
-// the head; `promoted`, `handle` and the links change only under the
-// owner's lazy_mu.  On a free list, `next` is the free-list link and
-// `owner` is null.
+// the head; `promoted`, `handle` and the links change only inside the
+// owner's list handshake (LazyFrames).  On a free list, `next` is the
+// free-list link and `owner` is null.
 struct LazyTask {
   void (*run)(void* closure) = nullptr;
-  FiberPool::Worker* owner = nullptr;
+  LazyFrames* owner = nullptr;
   LazyTask* prev = nullptr;
   LazyTask* next = nullptr;
   bool promoted = false;
   FiberHandle handle;  // valid once promoted
   alignas(std::max_align_t) unsigned char closure[FiberPool::kLazyClosureBytes];
 };
+
+// One worker's lazy frames (FiberPool::Worker::lazy): the pending list of
+// frames spawned by fibers running there, oldest at the head, and a free
+// list of recycled frames that only the worker's own thread touches.
+// Header-visible so an unpromoted SpawnLazy/JoinLazy pair inlines into its
+// caller.
+//
+// The pending list has two kinds of user.  The *owner* is the worker's own
+// thread: SpawnLazy, JoinLazy of a frame spawned there, and the tick,
+// push-time and own-frame promotions — nearly every operation.  A *remote*
+// party is a dry worker promoting from this list, or JoinLazy from a fiber
+// that migrated off this worker; rare, because promotion takes the oldest
+// frame first, so by the time a fiber blocks on a promoted frame every
+// older frame it spawned has been promoted too.  The two meet in an
+// asymmetric Dekker handshake that puts the whole cost on the rare side:
+//
+//   owner  (OwnerSection):  owner_in = true (relaxed); compiler-only fence;
+//                           remote_req (acquire)?  clear owner_in, lock mu
+//   remote (fiber_pool.cc): lock mu; remote_req = true;
+//                           membarrier(PRIVATE_EXPEDITED); wait !owner_in
+//
+// The membarrier makes every running thread of the process execute a full
+// memory barrier, which upgrades the owner's compiler fence to a real one
+// exactly when a remote party needs it: either the owner's load sees
+// remote_req and it takes `mu` for that one operation, or the remote load
+// sees owner_in and waits the operation out.  Both flags are atomics with
+// acquire/release, so every interleaving the membarrier allows carries a
+// happens-before edge ThreadSanitizer can see.  An owner section must not
+// block or switch fibers.
+struct LazyFrames {
+  // Free-list cap, the same as the fiber free lists': beyond it a frame is
+  // deleted (a fiber that migrates between spawn and join returns its frame
+  // to another worker's list).
+  static constexpr size_t kMaxFree = 256;
+
+  LazyFrames(FiberPool* owning_pool, int worker_index)
+      : index(worker_index), pool(owning_pool) {}
+  ~LazyFrames() {
+    while (free != nullptr) {
+      delete std::exchange(free, free->next);
+    }
+  }
+  LazyFrames(const LazyFrames&) = delete;
+  LazyFrames& operator=(const LazyFrames&) = delete;
+
+  // Everything but `count` fits one cache line.
+
+  // The handshake.  owner_in: written by the owner only; remote_req: by
+  // the remote party holding mu only.
+  alignas(64) std::atomic<bool> owner_in{false};
+  std::atomic<bool> remote_req{false};
+  SpinLock mu;  // serializes remote parties, and the owner's slow path
+
+  const int index;  // the worker's, for trace records
+  FiberPool* const pool;
+
+  LazyTask* head = nullptr;  // oldest pending; see the handshake
+  LazyTask* tail = nullptr;  // newest pending
+  LazyTask* free = nullptr;  // owner-only, next-linked
+  size_t num_free = 0;       // owner-only
+
+  // Single-writer statistics (read cross-thread by stats()).  `inlines`
+  // counts inline joins made on this worker, of any worker's frames.
+  std::atomic<uint64_t> spawns{0};
+  std::atomic<uint64_t> inlines{0};
+
+  // Frames on the pending list: written inside the handshake, read
+  // lock-free by dry workers choosing whom to promote from.  Alone on its
+  // cache line, so those reads never share a line with the owner's flags.
+  alignas(64) std::atomic<int64_t> count{0};
+
+  // Owner-only: a frame from the free list, or a new one.
+  LazyTask* TakeFrame() {
+    LazyTask* task = free;
+    if (task == nullptr) {
+      return NewFrame();
+    }
+    free = task->next;
+    --num_free;
+    return task;
+  }
+  // Owner-only: returns a resolved frame to the free list.
+  void RecycleFrame(LazyTask* task) {
+    task->owner = nullptr;
+    if (num_free >= kMaxFree) {
+      delete task;
+      return;
+    }
+    task->next = free;
+    free = task;
+    ++num_free;
+  }
+
+  // Pending-list edits, inside an owner or remote section.
+  void LinkFrame(LazyTask* task) {
+    task->prev = tail;
+    task->next = nullptr;
+    (tail != nullptr ? tail->next : head) = task;
+    tail = task;
+    Bump(count, int64_t{1});
+  }
+  void UnlinkFrame(LazyTask* task) {
+    (task->prev != nullptr ? task->prev->next : head) = task->next;
+    (task->next != nullptr ? task->next->prev : tail) = task->prev;
+    Bump(count, int64_t{-1});
+  }
+
+  // The owner's slow path: a remote party asked for the list, so clear
+  // owner_in (letting it proceed) and queue behind it on mu.
+  void OwnerLock();
+  static LazyTask* NewFrame();
+};
+
+// The owner's side of the handshake, for one pending-list operation on the
+// calling worker's own LazyFrames.  No lock, RMW or hardware fence unless a
+// remote party has asked for the list.
+class OwnerSection {
+ public:
+  explicit OwnerSection(LazyFrames& frames) : frames_(frames) {
+    frames_.owner_in.store(true, std::memory_order_relaxed);
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    if (frames_.remote_req.load(std::memory_order_acquire)) [[unlikely]] {
+      frames_.OwnerLock();
+      locked_ = true;
+    }
+  }
+  ~OwnerSection() {
+    if (locked_) [[unlikely]] {
+      frames_.mu.unlock();
+    } else {
+      frames_.owner_in.store(false, std::memory_order_release);
+    }
+  }
+  OwnerSection(const OwnerSection&) = delete;
+  OwnerSection& operator=(const OwnerSection&) = delete;
+
+ private:
+  LazyFrames& frames_;
+  bool locked_ = false;
+};
+
+// The calling worker thread's LazyFrames (null off the pool's workers).
+// constinit: no TLS wrapper call on access.
+extern constinit thread_local LazyFrames* tls_lazy_frames;
+
+// Re-reads tls_lazy_frames after a call that may have resumed the current
+// fiber on another worker thread.  Out of line so the compiler cannot
+// reuse a thread-local address computed before the call.
+LazyFrames* CurrentLazyFrames();
 
 }  // namespace internal
 
@@ -367,7 +535,10 @@ LazyHandle FiberPool::SpawnLazy(F&& fn) {
                 "SpawnLazy closure exceeds the frame's inline buffer");
   static_assert(alignof(Closure) <= alignof(std::max_align_t),
                 "SpawnLazy closure is over-aligned for the frame");
-  internal::LazyTask* task = NewLazyFrame();
+  internal::LazyFrames* const frames = internal::tls_lazy_frames;
+  SA_CHECK_MSG(frames != nullptr && frames->pool == this,
+               "SpawnLazy must be called from a fiber of this pool");
+  internal::LazyTask* const task = frames->TakeFrame();
   ::new (static_cast<void*>(task->closure)) Closure(std::forward<F>(fn));
   task->run = [](void* closure) {
     struct Destroy {  // destroys the closure even if it throws
@@ -376,7 +547,68 @@ LazyHandle FiberPool::SpawnLazy(F&& fn) {
     } destroy{std::launder(static_cast<Closure*>(closure))};
     (*destroy.c)();
   };
-  return PushLazy(task);
+  task->owner = frames;
+  task->promoted = false;
+  {
+    internal::OwnerSection owned(*frames);
+    frames->LinkFrame(task);
+  }
+  internal::Bump(frames->spawns);
+  SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbLazyFork,
+                trace::HostNow(), frames->index, -1, 0, 0);
+  // Push-time promotion (DESIGN.md §17, path 3): a parked worker means
+  // latent parallelism is going unused, so hand it our oldest frame now
+  // rather than when its park times out.  Bounded three ways, all plain
+  // loads: only when a push would wake someone (wake_eagerly_), only while
+  // no worker is already searching (it will promote for itself), and only
+  // while our own deque is empty (checked out of line: an earlier promotion
+  // still waiting to be stolen is enough).  Without the searching bound,
+  // every push made while a woken worker is still on its way promotes
+  // another frame.
+  if (wake_eagerly_ && num_parked_.load(std::memory_order_relaxed) > 0 &&
+      num_searching_.load(std::memory_order_relaxed) == 0) {
+    PromoteAtPush();
+  }
+  return LazyHandle(task);
+}
+
+inline void FiberPool::JoinLazy(LazyHandle handle) {
+  internal::LazyTask* const task = handle.task_;
+  SA_CHECK_MSG(task != nullptr, "joining a null lazy handle");
+  internal::LazyFrames* const frames = internal::tls_lazy_frames;
+  SA_CHECK_MSG(frames != nullptr && frames->pool == this,
+               "JoinLazy must be called from a fiber of this pool");
+  SA_CHECK_MSG(task->owner != nullptr, "lazy handle already joined");
+  if (task->owner != frames) {
+    JoinLazyRemote(task);  // the fiber migrated off the frame's owner
+    return;
+  }
+  bool promoted;
+  {
+    internal::OwnerSection owned(*frames);
+    promoted = task->promoted;
+    if (!promoted) {
+      frames->UnlinkFrame(task);
+    }
+  }
+  if (promoted) {
+    JoinPromoted(task);
+  } else {
+    RunLazyInline(frames, task);
+  }
+}
+
+inline void FiberPool::RunLazyInline(internal::LazyFrames* frames,
+                                     internal::LazyTask* task) {
+  // The pcall payoff: nobody wanted the parallelism, so the child runs right
+  // here on the joining fiber's stack — spawn + join collapsed to a
+  // procedure call, no fiber, no deque, no wakeup.
+  internal::Bump(frames->inlines);
+  SA_TRACE_EMIT(tracer(), trace::cat::kHeartbeat, trace::Kind::kHbInline,
+                trace::HostNow(), frames->index, -1, 0, 0);
+  task->run(task->closure);
+  // The child may have blocked and resumed us on another worker.
+  internal::CurrentLazyFrames()->RecycleFrame(task);
 }
 
 }  // namespace sa::fibers

@@ -315,6 +315,54 @@ TEST(FiberLazyFrame, FourWorkerFibKeepsPromotionsRare) {
       << s.lazy_promotions << " of " << s.lazy_spawns << " frames promoted";
 }
 
+// Under a sanitizer each round costs far more; fewer rounds still cross the
+// owner/remote window many times.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define SA_LAZY_TEST_SANITIZED 1
+#endif
+#endif
+#if !defined(SA_LAZY_TEST_SANITIZED) && \
+    (defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__))
+#define SA_LAZY_TEST_SANITIZED 1
+#endif
+#if defined(SA_LAZY_TEST_SANITIZED)
+constexpr int kHammerRounds = 300;
+#else
+constexpr int kHammerRounds = 3000;
+#endif
+
+// The owner edits its pending list with no lock or fence; a dry worker
+// promoting from that list must still never edit it at the same time.
+// Many short parallel recursions keep workers running dry and promoting
+// from each other's lists while the owners spawn and join at full speed.
+// With the remote side's membarrier weakened to a compiler barrier this
+// crashes within a few hundred rounds ("lazy handle already joined", or a
+// corrupted list).
+TEST(FiberLazyFrame, RemotePromotersNeverShareTheOwnersList) {
+  FiberPoolOptions options;
+  options.wake_eagerly = 1;
+  FiberPool pool(4, options);
+  constexpr int kN = 18;
+  const int64_t expected = FibSeq(kN);
+  int wrong = 0;
+  for (int round = 0; round < kHammerRounds; ++round) {
+    int64_t result = -1;
+    auto root =
+        pool.Spawn([&] { result = FibLazy(FiberPool::Current(), kN); });
+    pool.Join(root);
+    if (result != expected) {
+      ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "of " << kHammerRounds << " rounds";
+  const FiberPoolStats s = pool.stats();
+  EXPECT_EQ(s.lazy_spawns, static_cast<uint64_t>(kHammerRounds) *
+                               static_cast<uint64_t>(FibSeq(kN + 1) - 1));
+  EXPECT_EQ(s.lazy_spawns, s.lazy_promotions + s.lazy_inlines);
+  EXPECT_GT(s.lazy_promotions, 0u);
+}
+
 // Once the worker's frame free list is warm, an unpromoted SpawnLazy /
 // JoinLazy pair allocates nothing: the closure lives in the frame and the
 // frame is recycled.  One worker, so nothing is promoted.
