@@ -156,6 +156,9 @@ class AddressSpace {
     bool in_surplus = false;  // member of the surplus index
     bool needy = false;       // counted in the allocator's needy tally
     bool pending_refresh = false;  // queued in its tier's changed list
+    int tier_pos = -1;        // position in its tier's id-ordered member slots
+    int demand_slot = -1;     // index in its tier's list for its clamped demand
+    bool uncapped = false;    // counted in its tier's uncapped-member index
     SpaceAllocStats stats;
     std::vector<int> socket_held;  // processors held per socket (affinity)
   };

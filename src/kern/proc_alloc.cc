@@ -1,6 +1,7 @@
 #include "src/kern/proc_alloc.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/log.h"
 #include "src/hw/topology.h"
@@ -57,6 +58,44 @@ void ProcessorAllocator::FenwickPrefix(const Tier& tier, int demand, int* cnt,
   *sum = s;
 }
 
+void ProcessorAllocator::UncappedIndex::Append() {
+  if (tree_.empty()) {
+    tree_.push_back(0);
+  }
+  // tree_[i] sums positions (i - lowbit(i), i] (1-based); the new one is 0.
+  const int i = static_cast<int>(tree_.size());
+  tree_.push_back(CountBefore(i - 1) - CountBefore(i - (i & -i)));
+}
+
+void ProcessorAllocator::UncappedIndex::Add(int pos, int delta) {
+  for (int i = pos + 1; i < static_cast<int>(tree_.size()); i += i & -i) {
+    tree_[static_cast<size_t>(i)] += delta;
+  }
+  total_ += delta;
+}
+
+int ProcessorAllocator::UncappedIndex::CountBefore(int pos) const {
+  int c = 0;
+  for (int i = pos; i > 0; i -= i & -i) {
+    c += tree_[static_cast<size_t>(i)];
+  }
+  return c;
+}
+
+int ProcessorAllocator::UncappedIndex::Select(int k) const {
+  SA_DCHECK(k >= 1 && k <= total_);
+  const int n = static_cast<int>(tree_.size()) - 1;
+  int pos = 0;
+  for (int step = static_cast<int>(std::bit_floor(static_cast<unsigned>(n))); step > 0;
+       step >>= 1) {
+    if (pos + step <= n && tree_[static_cast<size_t>(pos + step)] < k) {
+      pos += step;
+      k -= tree_[static_cast<size_t>(pos)];
+    }
+  }
+  return pos;
+}
+
 void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
   AddressSpace::AllocState& st = as->alloc_state();
   SA_CHECK(st.index < 0);
@@ -71,7 +110,11 @@ void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
     tier.cnt.assign(static_cast<size_t>(num_processors_) + 2, 0);
     tier.sum.assign(static_cast<size_t>(num_processors_) + 2, 0);
   }
-  tier.by_id[as->id()] = as;
+  // Ids grow with creation and spaces register when created, so appending
+  // keeps the slots in id order.
+  st.tier_pos = static_cast<int>(tier.slots.size());
+  tier.slots.push_back(as);
+  tier.uncapped_index.Append();
   ++tier.members;
   st.demand = 0;
   if (as->desired_processors() != 0) {
@@ -91,10 +134,22 @@ void ProcessorAllocator::RecordDemand(AddressSpace* as) {
   if (st.demand > 0) {
     FenwickAdd(tier, Clamp(st.demand), -1, -Clamp(st.demand));
     --tier.active;
+    std::vector<AddressSpace*>& list = tier.by_demand[static_cast<size_t>(Clamp(st.demand))];
+    AddressSpace* moved = list.back();
+    list[static_cast<size_t>(st.demand_slot)] = moved;
+    moved->alloc_state().demand_slot = st.demand_slot;
+    list.pop_back();
+    st.demand_slot = -1;
   }
   if (desired > 0) {
     FenwickAdd(tier, Clamp(desired), +1, +Clamp(desired));
     ++tier.active;
+    const auto v = static_cast<size_t>(Clamp(desired));
+    if (tier.by_demand.size() <= v) {
+      tier.by_demand.resize(v + 1);
+    }
+    st.demand_slot = static_cast<int>(tier.by_demand[v].size());
+    tier.by_demand[v].push_back(as);
   }
   st.demand = desired;
   tier.dirty = true;
@@ -150,8 +205,8 @@ std::vector<int> ProcessorAllocator::ComputeTargetsReference() const {
       break;
     }
     std::vector<int> tier;  // alloc-registry indexes, in space-id order
-    for (const auto& [id, as] : t.by_id) {
-      if (as->desired_processors() > 0) {
+    for (const AddressSpace* as : t.slots) {
+      if (as != nullptr && as->desired_processors() > 0) {
         tier.push_back(as->alloc_state().index);
       }
     }
@@ -238,7 +293,6 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
   // round gives the capped count and their total demand without touching
   // members.  The loop runs at most once per distinct capping share.
   int capped_cnt = 0;
-  int64_t capped_sum = 0;
   int threshold = 0;
   int pool = pool_in;
   for (;;) {
@@ -255,7 +309,6 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
     }
     threshold = share;
     capped_cnt = cnt;
-    capped_sum = sum;
     pool = pool_in - static_cast<int>(sum);
   }
   const int uncapped = tier.active - capped_cnt;
@@ -263,38 +316,64 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
   const int leftover = uncapped > 0 ? pool - share * uncapped : 0;
   const int pool_out = uncapped > 0 ? 0 : pool;
 
-  // If the division summary is unchanged and every changed member sits
-  // strictly above the capping threshold (uncapped then, uncapped now), no
-  // member's target moved: capped members' demands are unchanged (their sum
-  // and count match) and the uncapped membership — hence each member's
-  // id-rank and leftover eligibility — is identical.
-  bool unchanged = tier.pool_in == pool_in && tier.threshold == threshold &&
-                   tier.share == share && tier.leftover == leftover &&
-                   tier.capped_cnt == capped_cnt && tier.capped_sum == capped_sum &&
-                   tier.uncapped == uncapped;
-  if (unchanged) {
-    for (const AddressSpace* as : tier.changed) {
-      const int d = as->alloc_state().demand;
-      if (d <= 0 || Clamp(d) <= threshold) {
-        unchanged = false;
-        break;
-      }
+  // A member's uncapped status can move only if its demand changed or its
+  // demand lies between the old and the new threshold; re-derive exactly
+  // those.  Everyone else keeps the status, and the index position, of the
+  // last refresh.
+  const int lo_t = std::min(tier.threshold, threshold);
+  const int hi_t = std::min(std::max(tier.threshold, threshold),
+                            static_cast<int>(tier.by_demand.size()) - 1);
+  for (AddressSpace* as : tier.changed) {
+    const int d = as->alloc_state().demand;
+    SetUncapped(tier, as, d > 0 && Clamp(d) > threshold);
+  }
+  for (int v = lo_t + 1; v <= hi_t; ++v) {
+    for (AddressSpace* as : tier.by_demand[static_cast<size_t>(v)]) {
+      SetUncapped(tier, as, v > threshold);
     }
   }
-  if (!unchanged) {
-    int rank = 0;
-    for (auto& [id, as] : tier.by_id) {
-      const int d = as->alloc_state().demand;
-      int t = 0;
-      if (d > 0) {
-        if (Clamp(d) <= threshold) {
-          t = d;
-        } else {
-          t = share + (rank < leftover ? 1 : 0);
-          ++rank;
-        }
+  SA_CHECK(tier.uncapped_index.total() == uncapped);
+  // The first `leftover` uncapped members in id order get one more: those
+  // below the position just past the leftover-th one.
+  const int frontier = leftover > 0 ? tier.uncapped_index.Select(leftover) + 1 : 0;
+  auto apply = [&](AddressSpace* as) {
+    ++members_touched_;
+    const int d = as->alloc_state().demand;
+    int t = 0;
+    if (d > 0) {
+      t = Clamp(d) <= threshold ? d
+                                : share + (as->alloc_state().tier_pos < frontier ? 1 : 0);
+    }
+    ApplyTarget(as, t);
+  };
+  if (share != tier.share) {
+    // Every uncapped target moves.
+    for (AddressSpace* as : tier.slots) {
+      if (as != nullptr) {
+        apply(as);
       }
-      ApplyTarget(as, t);
+    }
+  } else {
+    // Otherwise a target moves only for a member whose status was just
+    // re-derived, or for an uncapped member that the leftover frontier
+    // crossed: its extra processor comes or goes.
+    for (AddressSpace* as : tier.changed) {
+      apply(as);
+    }
+    for (int v = lo_t + 1; v <= hi_t; ++v) {
+      for (AddressSpace* as : tier.by_demand[static_cast<size_t>(v)]) {
+        apply(as);
+      }
+    }
+    const int lo = std::min(tier.frontier, frontier);
+    const int hi = std::max(tier.frontier, frontier);
+    const int total = tier.uncapped_index.total();
+    for (int k = tier.uncapped_index.CountBefore(lo) + 1; k <= total; ++k) {
+      const int pos = tier.uncapped_index.Select(k);
+      if (pos >= hi) {
+        break;
+      }
+      apply(tier.slots[static_cast<size_t>(pos)]);
     }
   }
   for (AddressSpace* as : tier.changed) {
@@ -306,10 +385,41 @@ void ProcessorAllocator::RefreshTier(Tier& tier, int pool_in) {
   tier.pool_out = pool_out;
   tier.threshold = threshold;
   tier.share = share;
-  tier.leftover = leftover;
-  tier.capped_cnt = capped_cnt;
-  tier.capped_sum = capped_sum;
-  tier.uncapped = uncapped;
+  tier.frontier = frontier;
+}
+
+void ProcessorAllocator::SetUncapped(Tier& tier, AddressSpace* as, bool uncapped) {
+  AddressSpace::AllocState& st = as->alloc_state();
+  if (st.uncapped != uncapped) {
+    st.uncapped = uncapped;
+    tier.uncapped_index.Add(st.tier_pos, uncapped ? +1 : -1);
+  }
+}
+
+void ProcessorAllocator::CompactTier(Tier& tier) {
+  // A member keeps its leftover processor exactly when it stays below the
+  // frontier, so the frontier becomes the count of live members before it.
+  std::vector<AddressSpace*> live;
+  live.reserve(tier.slots.size() - static_cast<size_t>(tier.holes));
+  int frontier = 0;
+  tier.uncapped_index.Clear();
+  for (size_t pos = 0; pos < tier.slots.size(); ++pos) {
+    AddressSpace* as = tier.slots[pos];
+    if (as == nullptr) {
+      continue;
+    }
+    frontier += static_cast<int>(pos) < tier.frontier ? 1 : 0;
+    AddressSpace::AllocState& st = as->alloc_state();
+    st.tier_pos = static_cast<int>(live.size());
+    live.push_back(as);
+    tier.uncapped_index.Append();
+    if (st.uncapped) {
+      tier.uncapped_index.Add(st.tier_pos, +1);
+    }
+  }
+  tier.slots = std::move(live);
+  tier.holes = 0;
+  tier.frontier = frontier;
 }
 
 void ProcessorAllocator::ApplyTarget(AddressSpace* as, int target) {
@@ -751,7 +861,13 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
     tier.changed.erase(std::find(tier.changed.begin(), tier.changed.end(), as));
     st.pending_refresh = false;
   }
-  tier.by_id.erase(as->id());
+  SetUncapped(tier, as, false);
+  tier.slots[static_cast<size_t>(st.tier_pos)] = nullptr;
+  st.tier_pos = -1;
+  ++tier.holes;
+  if (2 * static_cast<size_t>(tier.holes) > tier.slots.size()) {
+    CompactTier(tier);
+  }
   --tier.members;
   const bool tier_empty = tier.members == 0;
   // Leave the dense registry: swap-remove, fixing the moved space's slot.

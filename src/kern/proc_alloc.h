@@ -20,7 +20,9 @@
 // priority tier keeps Fenwick-tree aggregates over its members' demands, so
 // the water-filling division is recomputed from aggregates in O(log P) per
 // round instead of rescanning every space; cached per-space targets are
-// re-derived only for tiers whose demand actually changed.  Grants pop a
+// re-derived only for the members whose target can have moved (changed
+// demand, a threshold crossing, or the leftover frontier passing them; a
+// change of the even share re-derives the whole tier).  Grants pop a
 // deficit heap keyed (priority, deficit, id); revocations walk a surplus
 // index.  A revocation storm therefore costs O(log n) per processor instead
 // of O(spaces x processors).  The legacy full-rescan policy is preserved as
@@ -133,6 +135,10 @@ class ProcessorAllocator {
   // bench_alloc_scale).
   int64_t decisions() const { return decisions_; }
 
+  // Members whose target a tier refresh re-derived, over the allocator's
+  // lifetime: the refresh's work, as opposed to the targets it changed.
+  int64_t members_touched() const { return members_touched_; }
+
   // ---- cross-space lending (DESIGN.md §16) ----
   // Every entry point below is inert unless Config::lending.enabled.
 
@@ -179,32 +185,54 @@ class ProcessorAllocator {
   const trace::LatencyHistogram& reclaim_latency() const { return reclaim_latency_; }
 
  private:
-  // One priority tier.  Members are tracked in id order; demands are
-  // mirrored into Fenwick trees over clamped demand values 1..P+1 (any
-  // demand above the machine size behaves identically, so values are
-  // clamped to keep the tree small).  The cached water-fill summary
-  // describes every member's target: a member with demand d gets
+  // Counts a tier's uncapped members by position (a Fenwick tree that grows
+  // by appending): rank and select in O(log n).
+  class UncappedIndex {
+   public:
+    void Append();  // one more position, not counted
+    void Add(int pos, int delta);
+    int CountBefore(int pos) const;  // counted members at positions < pos
+    int Select(int k) const;         // position of the k-th counted member
+    int total() const { return total_; }
+    void Clear() {
+      tree_.clear();
+      total_ = 0;
+    }
+
+   private:
+    std::vector<int> tree_;  // 1-based; tree_[0] unused
+    int total_ = 0;
+  };
+
+  // One priority tier.  Members sit in `slots` in id order (ids grow with
+  // creation, so registration appends); demands are mirrored into Fenwick
+  // trees over clamped demand values 1..P+1 (any demand above the machine
+  // size behaves identically, so values are clamped to keep the tree small).
+  // The cached water-fill summary describes every member's target: a member
+  // with demand d gets
   //   d <= 0         -> 0
   //   clamp(d) <= threshold -> d (capped at its own demand)
-  //   otherwise      -> share, plus 1 if its id-rank among uncapped
-  //                     members is below `leftover`.
+  //   otherwise      -> share, plus 1 if its position is below `frontier`
+  //                     (the first `leftover` uncapped members in id order).
   struct Tier {
     int members = 0;  // registered members (including zero-demand)
     int active = 0;   // members with demand > 0
-    std::map<int, AddressSpace*> by_id;
+    std::vector<AddressSpace*> slots;  // by position; null once released
+    int holes = 0;                     // released slots not yet compacted
     std::vector<AddressSpace*> changed;  // demand changes since last refresh
     std::vector<int> cnt;                // Fenwick: member count per demand
     std::vector<int64_t> sum;            // Fenwick: demand sum per demand
+    // Members with demand > 0 by clamped demand (sized on first use), so the
+    // members crossing a threshold move are listed without a walk.
+    std::vector<std::vector<AddressSpace*>> by_demand;
+    UncappedIndex uncapped_index;  // members with clamp(d) > threshold
     bool dirty = true;
     // Cached water-fill summary, valid for pool_in inbound processors.
     int pool_in = -1;
     int pool_out = 0;
     int threshold = 0;
     int share = 0;
-    int leftover = 0;
-    int capped_cnt = 0;
-    int64_t capped_sum = 0;
-    int uncapped = 0;
+    int frontier = 0;
   };
 
   // One open loan.  Keyed by processor id in loans_; at most one loan per
@@ -277,6 +305,10 @@ class ProcessorAllocator {
   // Recomputes cached targets for dirty tiers (incremental mode).
   void RefreshTargets();
   void RefreshTier(Tier& tier, int pool_in);
+  // Enters or leaves `as` in its tier's uncapped-member index.
+  static void SetUncapped(Tier& tier, AddressSpace* as, bool uncapped);
+  // Renumbers a tier's positions without the released members' holes.
+  static void CompactTier(Tier& tier);
   void ApplyTarget(AddressSpace* as, int target);
   // Re-derives heap/surplus/needy membership from the space's cached
   // target, assigned count, and pending revocations.
@@ -316,6 +348,7 @@ class ProcessorAllocator {
   int needy_ = 0;          // spaces with assigned - pending < target
   bool reference_oracle_ = false;
   int64_t decisions_ = 0;
+  int64_t members_touched_ = 0;
   bool rebalancing_ = false;
   bool rerun_ = false;
 

@@ -49,30 +49,48 @@ bool EventHandle::Cancel() {
 Engine::~Engine() {
   // Outstanding handles may be cancelled after the engine is gone; sever the
   // back-references so Cancel() degrades to a pure state flip.
-  for (Event& ev : queue_) {
-    if (ev.state != nullptr) {
-      ev.state->engine = nullptr;
+  for (const Key& key : queue_) {
+    const std::shared_ptr<EventHandle::State>& state = slots_[key.slot].state;
+    if (state != nullptr) {
+      state->engine = nullptr;
     }
   }
 }
 
-void Engine::PushEvent(Event ev) {
-  queue_.push_back(std::move(ev));
+void Engine::PushEvent(Time at, std::function<void()> fn,
+                       std::shared_ptr<EventHandle::State> state) {
+  uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(Slot{std::move(fn), std::move(state)});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot].fn = std::move(fn);
+    slots_[slot].state = std::move(state);
+  }
+  queue_.push_back(Key{at, next_seq_++, slot});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
   ++live_events_;
+}
+
+void Engine::FreeSlot(uint32_t slot) {
+  slots_[slot].fn = nullptr;
+  slots_[slot].state.reset();
+  free_slots_.push_back(slot);
 }
 
 EventHandle Engine::ScheduleAt(Time at, std::function<void()> fn) {
   SA_CHECK_MSG(at >= now_, "event scheduled in the past");
   auto state = std::make_shared<EventHandle::State>();
   state->engine = this;
-  PushEvent(Event{at, next_seq_++, std::move(fn), state});
+  PushEvent(at, std::move(fn), state);
   return EventHandle(std::move(state));
 }
 
 void Engine::Schedule(Time at, std::function<void()> fn) {
   SA_CHECK_MSG(at >= now_, "event scheduled in the past");
-  PushEvent(Event{at, next_seq_++, std::move(fn), nullptr});
+  PushEvent(at, std::move(fn), nullptr);
 }
 
 void Engine::NoteCancelled() {
@@ -86,45 +104,46 @@ void Engine::MaybeCompact() {
   if (queue_.size() < kCompactMinSize || dead * 2 <= queue_.size()) {
     return;
   }
-  std::erase_if(queue_, [](const Event& ev) {
-    return ev.state != nullptr && ev.state->cancelled;
+  std::erase_if(queue_, [this](const Key& key) {
+    if (!Cancelled(key)) {
+      return false;
+    }
+    FreeSlot(key.slot);
+    return true;
   });
   std::make_heap(queue_.begin(), queue_.end(), Later{});
   SA_DCHECK(queue_.size() == live_events_);
 }
 
 void Engine::DropCancelledTop() {
-  while (!queue_.empty() && queue_.front().state != nullptr &&
-         queue_.front().state->cancelled) {
+  while (!queue_.empty() && Cancelled(queue_.front())) {
+    FreeSlot(queue_.front().slot);
     std::pop_heap(queue_.begin(), queue_.end(), Later{});
     queue_.pop_back();
   }
 }
 
-bool Engine::PopNext(Event* out) {
+bool Engine::Step() {
   DropCancelledTop();
   if (queue_.empty()) {
     return false;
   }
   std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  *out = std::move(queue_.back());
+  const Key key = queue_.back();
   queue_.pop_back();
   --live_events_;
-  return true;
-}
-
-bool Engine::Step() {
-  Event ev;
-  if (!PopNext(&ev)) {
-    return false;
+  SA_CHECK(key.at >= now_);
+  now_ = key.at;
+  // Move the callback out before running it: it may schedule events, which
+  // can reuse this slot or grow the slot vector under it.
+  Slot& slot = slots_[key.slot];
+  std::function<void()> fn = std::move(slot.fn);
+  if (slot.state != nullptr) {
+    slot.state->fired = true;
   }
-  SA_CHECK(ev.at >= now_);
-  now_ = ev.at;
-  if (ev.state != nullptr) {
-    ev.state->fired = true;
-  }
+  FreeSlot(key.slot);
   ++events_fired_;
-  ev.fn();
+  fn();
   return true;
 }
 
@@ -149,14 +168,7 @@ void Engine::RunUntil(Time until) {
       now_ = until;
       return;
     }
-    Event ev;
-    PopNext(&ev);
-    now_ = ev.at;
-    if (ev.state != nullptr) {
-      ev.state->fired = true;
-    }
-    ++events_fired_;
-    ev.fn();
+    Step();
   }
 }
 

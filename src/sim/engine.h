@@ -2,11 +2,13 @@
 //
 // A single Engine owns the virtual clock and a min-heap of scheduled events.
 // Events scheduled for the same instant fire in scheduling order (stable FIFO
-// by sequence number), which keeps runs deterministic.  Cancellation is lazy:
-// a cancelled heap entry stays in the heap and is discarded when it reaches
-// the top, but the engine tracks live-vs-dead counts exactly (pending_events
-// never counts cancelled entries) and compacts the heap when more than half
-// of it is dead.
+// by sequence number), which keeps runs deterministic.  The heap holds only
+// 24-byte (at, seq, slot) keys; each event's callback and handle state live
+// in a slot vector whose slots are recycled once the event fires or is
+// discarded.  Cancellation is lazy: a cancelled heap entry stays in the heap
+// and is discarded when it reaches the top, but the engine tracks
+// live-vs-dead counts exactly (pending_events never counts cancelled
+// entries) and compacts the heap when more than half of it is dead.
 
 #ifndef SA_SIM_ENGINE_H_
 #define SA_SIM_ENGINE_H_
@@ -116,26 +118,36 @@ class Engine {
  private:
   friend class EventHandle;
 
-  struct Event {
+  // What the heap orders: the (at, seq) key plus where the event's payload
+  // sits.  Keys are unique, so any heap pops them in the same order.
+  struct Key {
     Time at;
     uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;  // null for handle-free events
+    uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) {
         return a.at > b.at;
       }
       return a.seq > b.seq;
     }
   };
+  struct Slot {
+    std::function<void()> fn;
+    std::shared_ptr<EventHandle::State> state;  // null for handle-free events
+  };
 
+  bool Cancelled(const Key& key) const {
+    const Slot& s = slots_[key.slot];
+    return s.state != nullptr && s.state->cancelled;
+  }
+  // Empties a slot (dropping its callback's captures) for reuse.
+  void FreeSlot(uint32_t slot);
   // Discards cancelled entries sitting at the top of the heap.
   void DropCancelledTop();
-  // Pops the next non-cancelled event; returns false if none.
-  bool PopNext(Event* out);
-  void PushEvent(Event ev);
+  void PushEvent(Time at, std::function<void()> fn,
+                 std::shared_ptr<EventHandle::State> state);
   // EventHandle::Cancel() notification: one live entry became dead.
   void NoteCancelled();
   // Rebuilds the heap without its dead entries once >50% are dead.
@@ -145,7 +157,9 @@ class Engine {
   uint64_t next_seq_ = 0;
   uint64_t events_fired_ = 0;
   size_t live_events_ = 0;  // heap entries not cancelled
-  std::vector<Event> queue_;  // min-heap via std::push_heap/pop_heap
+  std::vector<Key> queue_;     // min-heap via std::push_heap/pop_heap
+  std::vector<Slot> slots_;    // event payloads, indexed by Key::slot
+  std::vector<uint32_t> free_slots_;  // empty slots, reused last-freed first
   trace::TraceBuffer* tracer_ = nullptr;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -176,6 +178,100 @@ TEST(Engine, CancelAfterEngineDestructionIsSafe) {
   }
   EXPECT_TRUE(h.pending());  // never fired, never cancelled
   EXPECT_TRUE(h.Cancel());   // flips state only; engine is gone
+  EXPECT_FALSE(h.Cancel());
+}
+
+// The heap holds keys only; callbacks live in recycled slots.  A fired
+// callback must not linger in its slot until the slot is reused.
+TEST(EngineSlots, CapturesAreReleasedRightAfterFiring) {
+  Engine e;
+  auto token = std::make_shared<int>(7);
+  long seen_inside = 0;
+  e.ScheduleAt(Usec(1), [token, &seen_inside] { seen_inside = token.use_count(); });
+  EventHandle h = e.ScheduleAt(Usec(2), [token] {});
+  EXPECT_EQ(token.use_count(), 3);
+  ASSERT_TRUE(e.Step());
+  EXPECT_EQ(seen_inside, 3);
+  EXPECT_EQ(token.use_count(), 2);  // the first callback is gone
+  ASSERT_TRUE(e.Step());
+  EXPECT_EQ(token.use_count(), 1);  // so is the handled one
+  EXPECT_FALSE(h.pending());
+}
+
+TEST(EngineSlots, SameInstantFifoHoldsAcrossReusedSlots) {
+  Engine e;
+  std::vector<int> order;
+  // Fill and drain a few slots so later events reuse them in LIFO order,
+  // which is the reverse of their scheduling order.
+  for (int i = 0; i < 8; ++i) {
+    e.ScheduleAt(Usec(1), [] {});
+  }
+  e.Run();
+  for (int round = 0; round < 3; ++round) {
+    order.clear();
+    const Time at = e.now() + Usec(5);
+    for (int i = 0; i < 12; ++i) {
+      e.ScheduleAt(at, [&order, i] { order.push_back(i); });
+    }
+    e.Run();
+    ASSERT_EQ(order.size(), 12u);
+    for (int i = 0; i < 12; ++i) {
+      EXPECT_EQ(order[static_cast<size_t>(i)], i) << "round " << round;
+    }
+  }
+}
+
+TEST(EngineSlots, CancelCompactThenScheduleKeepsOrder) {
+  Engine e;
+  std::vector<int> fired;
+  std::vector<EventHandle> handles;
+  constexpr int kN = 200;
+  for (int i = 0; i < kN; ++i) {
+    handles.push_back(e.ScheduleAt(Usec(10 + i % 7), [&fired, i] { fired.push_back(i); }));
+  }
+  // Cancel three in four: compaction runs and frees their slots.
+  for (int i = 0; i < kN; ++i) {
+    if (i % 4 != 0) {
+      EXPECT_TRUE(handles[static_cast<size_t>(i)].Cancel());
+    }
+  }
+  EXPECT_EQ(e.pending_events(), static_cast<size_t>(kN / 4));
+  // New events land in the freed slots, interleaved in time with the
+  // survivors; everything must still fire in (at, seq) order.
+  std::vector<std::pair<Time, int>> expect;
+  for (int i = 0; i < kN; i += 4) {
+    expect.emplace_back(Usec(10 + i % 7), i);
+  }
+  for (int j = 0; j < 60; ++j) {
+    const int id = 1000 + j;
+    const Time at = Usec(8 + j % 9);
+    e.ScheduleAt(at, [&fired, id] { fired.push_back(id); });
+    expect.emplace_back(at, id);
+  }
+  std::stable_sort(expect.begin(), expect.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  e.Run();
+  ASSERT_EQ(fired.size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(fired[i], expect[i].second) << "at " << i;
+  }
+  EXPECT_EQ(e.pending_events(), 0u);
+}
+
+TEST(EngineSlots, PendingHandleCancelledAfterEngineDiesStaysInert) {
+  EventHandle h;
+  auto token = std::make_shared<int>(1);
+  {
+    Engine e;
+    e.ScheduleAt(Usec(1), [] {});
+    h = e.ScheduleAt(Usec(5), [token] {});
+    e.Step();  // the first event's slot is free; h's is still pending
+    EXPECT_TRUE(h.pending());
+  }
+  EXPECT_EQ(token.use_count(), 1);  // the engine's slots died with it
+  EXPECT_TRUE(h.pending());
+  EXPECT_TRUE(h.Cancel());
+  EXPECT_FALSE(h.pending());
   EXPECT_FALSE(h.Cancel());
 }
 
