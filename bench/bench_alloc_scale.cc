@@ -23,6 +23,8 @@
 //      cost is >= 10x below the reference-oracle (legacy full-rescan) path.
 //   2. Doubling the space count at 256 processors raises the mean decision
 //      cost by < 1.5x per doubling (sublinearity), in both cell shapes.
+//      Series cells are timed as a min of 7 reps, interleaved across the
+//      series, so drifting host load lands on both cells of a pair.
 //   3. A scripted churn+storm sequence of each shape produces an identical
 //      grant/revoke event sequence under both decision paths (the in-bench
 //      cross-check of the differential fuzz proof in alloc_incremental_test).
@@ -204,41 +206,64 @@ struct CellResult {
   double ns_per_decision = 0.0;
 };
 
-CellResult RunCell(int processors, int spaces, bool reference_oracle, int ops,
-                   int reps, Shape shape = Shape::kFlat) {
-  CellResult out;
-  out.processors = processors;
-  out.spaces = spaces;
-  out.shape = shape;
-  out.mode = reference_oracle ? "reference" : "incremental";
-  out.ops = ops;
+// Times one rep of a cell: mean wall-clock ns per allocator decision over
+// `ops` churn ops.  Rep r always runs script seed 42 + r.
+double TimeRep(int processors, int spaces, bool reference_oracle, int ops, int rep,
+               Shape shape, int64_t* decisions) {
+  AllocBench b(processors, reference_oracle, /*keep_log=*/false);
+  b.CreateSpaces(spaces, shape);
+  common::Rng script(42 + static_cast<uint64_t>(rep));
+  common::Rng storm(script.Next() ^ 0x9e3779b97f4a7c15ull);
+  for (int i = 0; i < spaces; ++i) {
+    b.alloc()->SetDesired(b.spaces()[static_cast<size_t>(i)],
+                          Demand(shape, script, i, processors, spaces));
+  }
+  const int64_t before = b.alloc()->decisions();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int op = 0; op < ops; ++op) {
+    ChurnOp(b, shape, script, storm, processors);
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  *decisions = b.alloc()->decisions() - before;
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
+         static_cast<double>(*decisions > 0 ? *decisions : 1);
+}
+
+// Times `reps` reps of one cell per entry of `spaces`, interleaved
+// round-robin across the cells: host noise that comes and goes (another
+// tenant, a frequency step) then lands on every cell alike instead of on
+// one of them, so it cannot pass for a scaling ratio.  Each cell keeps its
+// min over reps: wall-clock noise only ever adds.
+std::vector<CellResult> RunCells(int processors, const std::vector<int>& spaces,
+                                 bool reference_oracle, int ops, int reps, Shape shape) {
+  std::vector<CellResult> cells;
+  for (int n : spaces) {
+    CellResult c;
+    c.processors = processors;
+    c.spaces = n;
+    c.shape = shape;
+    c.mode = reference_oracle ? "reference" : "incremental";
+    c.ops = ops;
+    cells.push_back(c);
+  }
   for (int rep = 0; rep < reps; ++rep) {
-    AllocBench b(processors, reference_oracle, /*keep_log=*/false);
-    b.CreateSpaces(spaces, shape);
-    common::Rng script(42 + static_cast<uint64_t>(rep));
-    common::Rng storm(script.Next() ^ 0x9e3779b97f4a7c15ull);
-    for (int i = 0; i < spaces; ++i) {
-      b.alloc()->SetDesired(b.spaces()[static_cast<size_t>(i)],
-                            Demand(shape, script, i, processors, spaces));
-    }
-    const int64_t before = b.alloc()->decisions();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int op = 0; op < ops; ++op) {
-      ChurnOp(b, shape, script, storm, processors);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const int64_t decisions = b.alloc()->decisions() - before;
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
-        static_cast<double>(decisions > 0 ? decisions : 1);
-    // Min over reps: wall-clock noise only ever adds.
-    if (rep == 0 || ns < out.ns_per_decision) {
-      out.ns_per_decision = ns;
-      out.decisions = decisions;
+    for (CellResult& c : cells) {
+      int64_t decisions = 0;
+      const double ns =
+          TimeRep(processors, c.spaces, reference_oracle, ops, rep, shape, &decisions);
+      if (rep == 0 || ns < c.ns_per_decision) {
+        c.ns_per_decision = ns;
+        c.decisions = decisions;
+      }
     }
   }
-  return out;
+  return cells;
+}
+
+CellResult RunCell(int processors, int spaces, bool reference_oracle, int ops,
+                   int reps, Shape shape = Shape::kFlat) {
+  return RunCells(processors, {spaces}, reference_oracle, ops, reps, shape).front();
 }
 
 // Replays one scripted cell under both decision paths and compares the full
@@ -338,12 +363,18 @@ int main(int argc, char** argv) {
     }
   }
   sa::bench::WarnIfDebugBuild("bench_alloc_scale");
+  if (sa::bench::RefuseDebugRecord("bench_alloc_scale", argc, argv)) {
+    return 2;
+  }
 
   const int ops = smoke ? 3000 : 6000;
   const int reps = smoke ? 2 : 3;
+  // The doubling gate compares 1-2 us cells against a 1.5x bound, so its
+  // series takes more reps than the survey, interleaved across its cells.
+  const int series_reps = 7;
   std::printf("Allocator scaling: Poisson demand churn + revocation storms, "
-              "%d ops/cell, min of %d reps%s\n\n",
-              ops, reps, smoke ? " (smoke)" : "");
+              "%d ops/cell, min of %d reps (doubling series: %d, interleaved)%s\n\n",
+              ops, reps, series_reps, smoke ? " (smoke)" : "");
 
   // Survey grid (incremental path): machine sizes up to the new 512 cap,
   // multiprogramming up to 4096 spaces.
@@ -362,9 +393,8 @@ int main(int argc, char** argv) {
             : std::vector<int>{256, 512, 1024, 2048, 4096};
   auto run_series = [&](sa::Shape shape, std::vector<sa::CellResult>* series,
                         std::vector<double>* ratios) {
-    for (int spaces : series_spaces) {
-      series->push_back(sa::RunCell(256, spaces, false, ops, reps, shape));
-    }
+    *series = sa::RunCells(256, series_spaces, /*reference_oracle=*/false, ops, series_reps,
+                           shape);
     for (size_t i = 1; i < series->size(); ++i) {
       ratios->push_back((*series)[i].ns_per_decision / (*series)[i - 1].ns_per_decision);
     }

@@ -41,8 +41,10 @@ inline bool WarnIfDebugBuild(const char* bench_name) {
 // not (it is exactly how the first BENCH_fibers_native.json went bad).
 // Returns true — and the caller must exit nonzero — when a debug build was
 // asked to *record* results: any flag that writes a machine-readable file
-// (--benchmark_out=..., or a bespoke --out/--json flag).  Plain console
-// runs of a debug build stay allowed; they only warn.
+// (--benchmark_out=..., or a bespoke --out/--json flag), or a positional
+// output path ending in .json (bench_alloc_scale, bench_lending,
+// bench_multitenant and bench_locality take their record path that way).  Plain console runs of
+// a debug build stay allowed; they only warn.
 inline bool RefuseDebugRecord(const char* bench_name, int argc,
                               char** argv) {
   if (!kDebugBuild) {
@@ -50,9 +52,12 @@ inline bool RefuseDebugRecord(const char* bench_name, int argc,
   }
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    const size_t len = std::strlen(arg);
+    const bool json_path =
+        arg[0] != '-' && len >= 5 && std::strcmp(arg + len - 5, ".json") == 0;
     if (std::strncmp(arg, "--benchmark_out", 15) == 0 ||
         std::strncmp(arg, "--out", 5) == 0 ||
-        std::strncmp(arg, "--json", 6) == 0) {
+        std::strncmp(arg, "--json", 6) == 0 || json_path) {
       std::fprintf(stderr,
                    "%s: ERROR: refusing to record results from a DEBUG "
                    "build (%s); rebuild with -DCMAKE_BUILD_TYPE=Release "

@@ -462,6 +462,9 @@ int main(int argc, char** argv) {
     }
   }
   sa::bench::WarnIfDebugBuild("bench_lending");
+  if (sa::bench::RefuseDebugRecord("bench_lending", argc, argv)) {
+    return 2;
+  }
   std::printf("Cross-space lending under oversubscription%s\n\n",
               smoke ? " (smoke)" : "");
 

@@ -132,6 +132,9 @@ void WriteJson(const std::string& path, const Cell (&cells)[4]) {
 
 int main(int argc, char** argv) {
   sa::bench::WarnIfDebugBuild("bench_locality");
+  if (sa::bench::RefuseDebugRecord("bench_locality", argc, argv)) {
+    return 2;
+  }
   bool smoke = false;
   std::string out_path = "BENCH_locality.json";
   for (int i = 1; i < argc; ++i) {

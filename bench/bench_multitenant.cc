@@ -311,6 +311,9 @@ int main(int argc, char** argv) {
     }
   }
   sa::bench::WarnIfDebugBuild("bench_multitenant");
+  if (sa::bench::RefuseDebugRecord("bench_multitenant", argc, argv)) {
+    return 2;
+  }
 
   const sa::sim::Duration horizon = smoke ? sa::sim::Msec(500) : sa::sim::Sec(1);
   std::printf("Multi-tenant open-loop traffic: low tier offers 1.5x capacity, "

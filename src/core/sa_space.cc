@@ -435,7 +435,7 @@ void SaSpace::BootDemand(int desired) {
 // ---------------------------------------------------------------------------
 
 void SaSpace::DowncallAddProcessors(kern::KThread* caller, int additional,
-                                    std::function<void()> done) {
+                                    sim::Callback done) {
   SA_CHECK(additional > 0);
   ++kernel_->counters().downcalls_add_more;
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kDowncallAddProcs,
@@ -449,7 +449,7 @@ void SaSpace::DowncallAddProcessors(kern::KThread* caller, int additional,
                         });
 }
 
-void SaSpace::DowncallProcessorIdle(kern::KThread* caller, std::function<void()> done) {
+void SaSpace::DowncallProcessorIdle(kern::KThread* caller, sim::Callback done) {
   ++kernel_->counters().downcalls_idle;
   kernel_->engine().TraceEmit(trace::cat::kUpcall, trace::Kind::kDowncallIdle,
                               caller->processor()->id(), as_->id(),
@@ -512,7 +512,7 @@ void SaSpace::DowncallYieldHint(kern::KThread* caller, std::function<void(bool)>
 }
 
 void SaSpace::DowncallReturnDiscards(kern::KThread* caller, std::vector<int64_t> ids,
-                                     std::function<void()> done) {
+                                     sim::Callback done) {
   ++kernel_->counters().downcalls_discard;
   kernel_->ChargeKernel(
       caller, kernel_->costs().sa_discard_downcall,
@@ -533,7 +533,7 @@ void SaSpace::DowncallReturnDiscards(kern::KThread* caller, std::vector<int64_t>
 }
 
 void SaSpace::DowncallPreemptProcessor(kern::KThread* caller, int processor_id,
-                                       std::function<void()> done) {
+                                       sim::Callback done) {
   ++kernel_->counters().downcalls_preempt_request;
   kernel_->ChargeKernel(
       caller, kernel_->costs().downcall,

@@ -48,9 +48,9 @@ class SaSpace : public kern::SaSpaceIface {
   // ---- downcalls from the user level (Table 3) ----
   // "Add more processors (additional # of processors needed)".
   void DowncallAddProcessors(kern::KThread* caller, int additional,
-                             std::function<void()> done);
+                             sim::Callback done);
   // "This processor is idle ()".
-  void DowncallProcessorIdle(kern::KThread* caller, std::function<void()> done);
+  void DowncallProcessorIdle(kern::KThread* caller, sim::Callback done);
   // Cross-space lending (DESIGN.md §16): "this processor is idle — lend it
   // if someone wants it right now".  When lending is off or no space would
   // take the processor, the hint declines synchronously and cost-free
@@ -61,13 +61,13 @@ class SaSpace : public kern::SaSpaceIface {
   void DowncallYieldHint(kern::KThread* caller, std::function<void(bool)> done);
   // Return discarded activations for reuse, in bulk (Section 4.3).
   void DowncallReturnDiscards(kern::KThread* caller, std::vector<int64_t> ids,
-                              std::function<void()> done);
+                              sim::Callback done);
   // Priority extension (Section 3.1): the user level knows exactly which
   // thread runs on each of its processors, so it can ask the kernel to
   // interrupt one of its *own* processors that is running a low-priority
   // thread; the kernel answers with the usual preempted upcall.
   void DowncallPreemptProcessor(kern::KThread* caller, int processor_id,
-                                std::function<void()> done);
+                                sim::Callback done);
 
   // ---- kernel event entry points (kern::SaSpaceIface) ----
   void OnProcessorGranted(hw::Processor* proc) override;

@@ -56,7 +56,7 @@ void Processor::FireInterrupt(Interrupt irq) {
 }
 
 void Processor::BeginSpan(sim::Duration d, SpanMode mode, bool preemptible,
-                          bool critical_section, std::function<void()> on_complete) {
+                          bool critical_section, sim::Callback on_complete) {
   SA_CHECK_MSG(!span_active_, "processor already executing a span");
   SA_CHECK(d >= 0);
   SA_CHECK(on_complete != nullptr);
@@ -97,8 +97,7 @@ void Processor::BeginSpan(sim::Duration d, SpanMode mode, bool preemptible,
     engine_->TraceEmit(trace::cat::kProcessor, trace::Kind::kSpanEnd, id_, -1,
                        static_cast<uint64_t>(mode_),
                        static_cast<uint64_t>(span_duration_));
-    std::function<void()> fn = std::move(on_complete_);
-    on_complete_ = nullptr;
+    sim::Callback fn = std::move(on_complete_);
     fn();
   };
   if (preemptible) {
@@ -177,7 +176,6 @@ void Processor::RequestInterrupt() {
   irq.remaining = span_duration_ - elapsed;
   irq.critical_section = critical_section_;
   irq.on_complete = std::move(on_complete_);
-  on_complete_ = nullptr;
   AccumulateTo(engine_->now());
   span_active_ = false;
   engine_->TraceEmit(trace::cat::kProcessor, trace::Kind::kSpanPreempt, id_, -1,

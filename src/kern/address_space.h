@@ -152,7 +152,7 @@ class AddressSpace {
     int demand = 0;           // demand the allocator's tier aggregates reflect
     int target = 0;           // cached fair-share target (incremental policy)
     int heap_deficit = 0;     // deficit key under which this space sits in the heap
-    bool in_heap = false;     // member of the deficit heap
+    int heap_pos = -1;        // index in the deficit heap (-1 = not in it)
     bool in_surplus = false;  // member of the surplus index
     bool needy = false;       // counted in the allocator's needy tally
     bool pending_refresh = false;  // queued in its tier's changed list

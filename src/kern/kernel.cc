@@ -558,7 +558,7 @@ void Kernel::HandleAction(hw::Processor* proc, PendingAction action, KThread* st
 // Syscall services.
 // ---------------------------------------------------------------------------
 
-void Kernel::SysFork(KThread* caller, KThread* child, std::function<void()> done) {
+void Kernel::SysFork(KThread* caller, KThread* child, sim::Callback done) {
   ++counters_.forks;
   engine().TraceEmit(trace::cat::kKernel, trace::Kind::kSyscall,
                      caller->processor()->id(), caller->address_space()->id(),
@@ -611,7 +611,7 @@ void Kernel::SysExit(KThread* caller) {
 
 void Kernel::FinishBlock(KThread* caller, bool io, sim::Duration latency,
                          bool injectable, std::function<bool()> block_check,
-                         std::function<void()> not_blocked) {
+                         sim::Callback not_blocked) {
   SA_CHECK(caller->state() == KThreadState::kRunning);
   hw::Processor* proc = caller->processor();
   proc->BeginKernelSpan(
@@ -660,7 +660,7 @@ void Kernel::SysBlockIo(KThread* caller, sim::Duration latency) {
 }
 
 void Kernel::SysPageFault(KThread* caller, int64_t page, sim::Duration latency,
-                          std::function<void()> done) {
+                          sim::Callback done) {
   AddressSpace* as = caller->address_space();
   if (as->vm().IsResident(page)) {
     // Minor fault: kernel touches the page tables and returns.
@@ -683,7 +683,7 @@ void Kernel::SysPageFault(KThread* caller, int64_t page, sim::Duration latency,
 }
 
 void Kernel::SysBlockWait(KThread* caller, std::function<bool()> block_check,
-                          std::function<void()> not_blocked) {
+                          sim::Callback not_blocked) {
   ++counters_.kernel_waits;
   engine().TraceEmit(trace::cat::kKernel, trace::Kind::kSyscall,
                      caller->processor()->id(), caller->address_space()->id(),
@@ -784,7 +784,7 @@ void Kernel::OnIoComplete(KThread* kt) {
   MakeReady(kt);
 }
 
-void Kernel::SysWakeup(KThread* caller, KThread* target, std::function<void()> done) {
+void Kernel::SysWakeup(KThread* caller, KThread* target, sim::Callback done) {
   ++counters_.wakeups;
   engine().TraceEmit(trace::cat::kKernel, trace::Kind::kSyscall,
                      caller->processor()->id(), caller->address_space()->id(),
@@ -826,7 +826,7 @@ bool Kernel::AbortSyscallIfReaped(KThread* caller, hw::Processor* proc) {
   return true;
 }
 
-void Kernel::ChargeKernel(KThread* caller, sim::Duration d, std::function<void()> done) {
+void Kernel::ChargeKernel(KThread* caller, sim::Duration d, sim::Callback done) {
   hw::Processor* proc = caller->processor();
   proc->BeginKernelSpan(d, [this, caller, proc, done = std::move(done)] {
     if (AbortSyscallIfReaped(caller, proc)) {

@@ -185,7 +185,7 @@ class Kernel {
   // `caller->processor()`.  `done` resumes the caller's user execution.
 
   // Create a new thread in the caller's space (Topaz Fork).
-  void SysFork(KThread* caller, KThread* child, std::function<void()> done);
+  void SysFork(KThread* caller, KThread* child, sim::Callback done);
   // Terminate the calling thread.
   void SysExit(KThread* caller);
   // Block in the kernel for a device operation of the given latency.
@@ -194,20 +194,20 @@ class Kernel {
   // resumes the caller).  Not resident: the caller blocks for `latency`
   // exactly like I/O and the page becomes resident at completion.
   void SysPageFault(KThread* caller, int64_t page, sim::Duration latency,
-                    std::function<void()> done);
+                    sim::Callback done);
   // Block in the kernel until SysWakeup(target=caller).  `block_check` runs
   // atomically inside the kernel at commit point: return true to block
   // (register on a wait queue there), false to abort the sleep (lost-wakeup
   // avoidance); on abort, `not_blocked` resumes the caller.
   void SysBlockWait(KThread* caller, std::function<bool()> block_check,
-                    std::function<void()> not_blocked);
+                    sim::Callback not_blocked);
   // Voluntarily yield the processor (requeue at the back of the domain).
   void SysYield(KThread* caller);
   // Make a kernel-blocked thread runnable again.
-  void SysWakeup(KThread* caller, KThread* target, std::function<void()> done);
+  void SysWakeup(KThread* caller, KThread* target, sim::Callback done);
   // Charge an arbitrary kernel-mode span on the caller's processor (traps
   // that do not block: TAS fallback paths, downcalls).
-  void ChargeKernel(KThread* caller, sim::Duration d, std::function<void()> done);
+  void ChargeKernel(KThread* caller, sim::Duration d, sim::Callback done);
 
   // ---- scheduling (kKernelThreads spaces) ----
   void MakeReady(KThread* kt);
@@ -304,7 +304,7 @@ class Kernel {
                             int attempt);
   void FinishIo(KThread* kt, sim::Duration latency, bool injectable, int attempt);
   void FinishBlock(KThread* caller, bool io, sim::Duration latency, bool injectable,
-                   std::function<bool()> block_check, std::function<void()> not_blocked);
+                   std::function<bool()> block_check, sim::Callback not_blocked);
   // Applies the injector's latency-spike perturbation (if any) to a blocking
   // I/O's latency, tracing the spike.  Identity when injection is off.
   sim::Duration MaybePerturbLatency(KThread* caller, sim::Duration latency);

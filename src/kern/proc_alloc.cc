@@ -96,6 +96,109 @@ int ProcessorAllocator::UncappedIndex::Select(int k) const {
   return pos;
 }
 
+void ProcessorAllocator::IdSet::Insert(int id) {
+  const auto word = static_cast<size_t>(id) / 64;
+  const uint64_t bit = uint64_t{1} << (id % 64);
+  if (word >= words_.size()) {
+    words_.resize(word + 1, 0);
+  }
+  if ((words_[word] & bit) == 0) {
+    words_[word] |= bit;
+    ++size_;
+  }
+}
+
+void ProcessorAllocator::IdSet::Erase(int id) {
+  const auto word = static_cast<size_t>(id) / 64;
+  const uint64_t bit = uint64_t{1} << (id % 64);
+  if (word < words_.size() && (words_[word] & bit) != 0) {
+    words_[word] &= ~bit;
+    --size_;
+  }
+}
+
+void ProcessorAllocator::IdSet::ListInto(std::vector<int>* out) const {
+  out->clear();
+  for (size_t w = 0; w < words_.size() && static_cast<int>(out->size()) < size_; ++w) {
+    for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+      out->push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
+    }
+  }
+}
+
+bool ProcessorAllocator::DeficitHeap::Before(const AddressSpace* a, const AddressSpace* b) {
+  if (a->priority() != b->priority()) {
+    return a->priority() > b->priority();
+  }
+  const int da = a->alloc_state().heap_deficit;
+  const int db = b->alloc_state().heap_deficit;
+  if (da != db) {
+    return da > db;
+  }
+  return a->id() < b->id();
+}
+
+void ProcessorAllocator::DeficitHeap::Place(size_t pos, AddressSpace* as) {
+  heap_[pos] = as;
+  as->alloc_state().heap_pos = static_cast<int>(pos);
+}
+
+void ProcessorAllocator::DeficitHeap::SiftUp(size_t pos) {
+  AddressSpace* as = heap_[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (!Before(as, heap_[parent])) {
+      break;
+    }
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, as);
+}
+
+void ProcessorAllocator::DeficitHeap::SiftDown(size_t pos) {
+  AddressSpace* as = heap_[pos];
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) {
+      break;
+    }
+    if (child + 1 < heap_.size() && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Before(heap_[child], as)) {
+      break;
+    }
+    Place(pos, heap_[child]);
+    pos = child;
+  }
+  Place(pos, as);
+}
+
+void ProcessorAllocator::DeficitHeap::Insert(AddressSpace* as) {
+  SA_DCHECK(as->alloc_state().heap_pos < 0);
+  heap_.push_back(as);
+  SiftUp(heap_.size() - 1);
+}
+
+void ProcessorAllocator::DeficitHeap::Erase(AddressSpace* as) {
+  const auto pos = static_cast<size_t>(as->alloc_state().heap_pos);
+  SA_DCHECK(pos < heap_.size() && heap_[pos] == as);
+  as->alloc_state().heap_pos = -1;
+  AddressSpace* last = heap_.back();
+  heap_.pop_back();
+  if (last != as) {
+    Place(pos, last);
+    Rekey(last);
+  }
+}
+
+void ProcessorAllocator::DeficitHeap::Rekey(AddressSpace* as) {
+  const auto pos = static_cast<size_t>(as->alloc_state().heap_pos);
+  SiftUp(pos);
+  SiftDown(static_cast<size_t>(as->alloc_state().heap_pos));
+}
+
 void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
   AddressSpace::AllocState& st = as->alloc_state();
   SA_CHECK(st.index < 0);
@@ -103,7 +206,7 @@ void ProcessorAllocator::RegisterSpace(AddressSpace* as) {
   spaces_.push_back(as);
   by_id_[as->id()] = as;
   if (!as->assigned().empty()) {
-    holders_[as->id()] = as;
+    holders_.Insert(as->id());
   }
   Tier& tier = tiers_[as->priority()];
   if (tier.cnt.empty()) {
@@ -441,22 +544,24 @@ void ProcessorAllocator::RefreshDerived(AddressSpace* as) {
   // with lending off.
   const int assigned = Entitled(as);
   const int deficit = st.target - assigned;
-  if (st.in_heap && (deficit <= 0 || deficit != st.heap_deficit)) {
-    deficit_heap_.erase({-as->priority(), -st.heap_deficit, as->id()});
-    st.in_heap = false;
-  }
-  if (deficit > 0 && !st.in_heap) {
-    deficit_heap_.insert({-as->priority(), -deficit, as->id()});
-    st.in_heap = true;
+  if (deficit <= 0) {
+    if (st.heap_pos >= 0) {
+      deficit_heap_.Erase(as);
+    }
+  } else if (st.heap_pos < 0) {
     st.heap_deficit = deficit;
+    deficit_heap_.Insert(as);
+  } else if (deficit != st.heap_deficit) {
+    st.heap_deficit = deficit;
+    deficit_heap_.Rekey(as);
   }
   const int have = assigned - st.pending_revokes;
   const bool in_surplus = have > st.target;
   if (in_surplus != st.in_surplus) {
     if (in_surplus) {
-      surplus_.insert(as->id());
+      surplus_.Insert(as->id());
     } else {
-      surplus_.erase(as->id());
+      surplus_.Erase(as->id());
     }
     st.in_surplus = in_surplus;
   }
@@ -482,9 +587,9 @@ void ProcessorAllocator::OnAssignedChanged(AddressSpace* as, hw::Processor* proc
   st.socket_held[static_cast<size_t>(topo.SocketOf(proc->id()))] += delta;
   if (st.index >= 0) {
     if (delta > 0 && as->assigned().size() == 1) {
-      holders_[as->id()] = as;
+      holders_.Insert(as->id());
     } else if (delta < 0 && as->assigned().empty()) {
-      holders_.erase(as->id());
+      holders_.Erase(as->id());
     }
   }
   RefreshDerived(as);
@@ -515,8 +620,8 @@ void ProcessorAllocator::RebalanceInternal() {
       // of the surplus index in id order visits exactly the spaces the
       // full scan would have revoked from.
       if (needy_ > 0 && !surplus_.empty()) {
-        const std::vector<int> ids(surplus_.begin(), surplus_.end());
-        for (int id : ids) {
+        surplus_.ListInto(&surplus_snapshot_);
+        for (int id : surplus_snapshot_) {
           auto it = by_id_.find(id);
           if (it != by_id_.end()) {
             RevokeSurplus(it->second, it->second->alloc_state().target);
@@ -575,7 +680,8 @@ void ProcessorAllocator::RevokeSurplus(AddressSpace* as, int target) {
   if (surplus <= 0) {
     return;
   }
-  const std::vector<hw::Processor*> candidates = RevocationOrder(as);
+  RevocationOrder(as, &revoke_order_);
+  const std::vector<hw::Processor*>& candidates = revoke_order_;
   // Pass 1: idle-in-kernel processors reclaim immediately and displace
   // nothing; take those first regardless of recency, so a surplus never
   // preempts a running thread while a sibling processor sits idle.  A
@@ -630,9 +736,7 @@ void ProcessorAllocator::GrantFreeProcessors() {
     if (deficit_heap_.empty()) {
       return;  // idle processors stay in the free pool
     }
-    const int id = std::get<2>(*deficit_heap_.begin());
-    AddressSpace* best = by_id_.find(id)->second;
-    Grant(free_.PopBack(), best);
+    Grant(free_.PopBack(), deficit_heap_.top());
   }
 }
 
@@ -722,14 +826,15 @@ hw::Processor* ProcessorAllocator::PickFreeProcessor(const AddressSpace* as) {
   return pick;
 }
 
-std::vector<hw::Processor*> ProcessorAllocator::RevocationOrder(
-    const AddressSpace* as) const {
+void ProcessorAllocator::RevocationOrder(const AddressSpace* as,
+                                         std::vector<hw::Processor*>* out) const {
   // Most recently granted first: long-held (warm) processors stay with
   // their space longest.
-  std::vector<hw::Processor*> order(as->assigned().rbegin(), as->assigned().rend());
+  std::vector<hw::Processor*>& order = *out;
+  order.assign(as->assigned().rbegin(), as->assigned().rend());
   const hw::Topology& topo = kernel_->machine()->topology();
   if (!kernel_->config().affinity_allocation || !topo.hierarchical()) {
-    return order;
+    return;
   }
   // Give up stragglers first — processors in sockets where the space holds
   // the fewest — so what remains is socket-compact.  Stable, so recency
@@ -740,7 +845,6 @@ std::vector<hw::Processor*> ProcessorAllocator::RevocationOrder(
                      return held[static_cast<size_t>(topo.SocketOf(a->id()))] <
                             held[static_cast<size_t>(topo.SocketOf(b->id()))];
                    });
-  return order;
 }
 
 void ProcessorAllocator::Grant(hw::Processor* proc, AddressSpace* as) {
@@ -785,7 +889,10 @@ int ProcessorAllocator::InjectRevocations(int burst, common::Rng& rng) {
   // regardless of release-time swap-removals in the dense registry, and a
   // storm costs O(processors), not O(spaces).
   std::vector<std::pair<AddressSpace*, hw::Processor*>> owned;
-  for (auto& [id, as] : holders_) {
+  std::vector<int> holder_ids;
+  holders_.ListInto(&holder_ids);
+  for (int id : holder_ids) {
+    AddressSpace* as = by_id_.find(id)->second;
     for (hw::Processor* proc : as->assigned()) {
       if (IsOnLoan(proc)) {
         continue;  // loans churn only through the loan protocol
@@ -830,12 +937,11 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   as->set_desired_processors(0);
   RecordDemand(as);  // zero demand leaves the tier aggregates
   // Drop out of the decision structures.
-  if (st.in_heap) {
-    deficit_heap_.erase({-as->priority(), -st.heap_deficit, as->id()});
-    st.in_heap = false;
+  if (st.heap_pos >= 0) {
+    deficit_heap_.Erase(as);
   }
   if (st.in_surplus) {
-    surplus_.erase(as->id());
+    surplus_.Erase(as->id());
     st.in_surplus = false;
   }
   if (st.needy) {
@@ -877,7 +983,7 @@ void ProcessorAllocator::ReleaseSpace(AddressSpace* as) {
   spaces_.pop_back();
   st.index = -1;
   by_id_.erase(as->id());
-  holders_.erase(as->id());
+  holders_.Erase(as->id());
   if (tier_empty) {
     tiers_.erase(as->priority());
   }

@@ -48,7 +48,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "src/common/intrusive_list.h"
@@ -235,6 +234,42 @@ class ProcessorAllocator {
     int frontier = 0;
   };
 
+  // A set of space ids as a bitmap: insert and erase allocate nothing once
+  // the map covers the largest id, and members list in id order.
+  class IdSet {
+   public:
+    void Insert(int id);
+    void Erase(int id);
+    bool empty() const { return size_ == 0; }
+    // Replaces `out` with the members, ascending.
+    void ListInto(std::vector<int>* out) const;
+
+   private:
+    std::vector<uint64_t> words_;
+    int size_ = 0;
+  };
+
+  // Spaces owed processors, best first: highest priority, then largest
+  // deficit (AllocState::heap_deficit), then lowest id — the legacy scan's
+  // pick.  A binary heap of the spaces themselves; each knows its position
+  // (AllocState::heap_pos), so entry, exit and re-keying allocate nothing.
+  class DeficitHeap {
+   public:
+    bool empty() const { return heap_.empty(); }
+    AddressSpace* top() const { return heap_.front(); }
+    void Insert(AddressSpace* as);
+    void Erase(AddressSpace* as);
+    // Restores order after as's heap_deficit changed in place.
+    void Rekey(AddressSpace* as);
+
+   private:
+    static bool Before(const AddressSpace* a, const AddressSpace* b);
+    void Place(size_t pos, AddressSpace* as);
+    void SiftUp(size_t pos);
+    void SiftDown(size_t pos);
+    std::vector<AddressSpace*> heap_;
+  };
+
   // One open loan.  Keyed by processor id in loans_; at most one loan per
   // processor (no chains: a borrower never re-lends).
   struct Loan {
@@ -325,27 +360,32 @@ class ProcessorAllocator {
   // Removes and returns the free processor to grant to `as`: the affinity
   // policy's pick when enabled, else the most recently freed.
   hw::Processor* PickFreeProcessor(const AddressSpace* as);
-  // Revocation victims for `as`, best-first.  Default: most recently granted
-  // first.  Affinity: least-held socket first so holdings stay compact.
-  std::vector<hw::Processor*> RevocationOrder(const AddressSpace* as) const;
+  // Fills `out` with the revocation victims for `as`, best-first.  Default:
+  // most recently granted first.  Affinity: least-held socket first so
+  // holdings stay compact.
+  void RevocationOrder(const AddressSpace* as, std::vector<hw::Processor*>* out) const;
 
   Kernel* kernel_;
   int num_processors_ = 0;
   std::vector<AddressSpace*> spaces_;   // dense registry (swap-removed)
   std::map<int, AddressSpace*> by_id_;  // id-ordered registry
-  // Registered spaces currently holding >= 1 processor, id-ordered.  Bounds
+  // Ids of registered spaces currently holding >= 1 processor.  Bounds
   // storm-candidate collection by the machine size instead of the space
-  // count; iterating it yields exactly the (space, processor) pairs the
-  // full by_id_ walk would (empty holdings contribute none), so seeded
-  // storm RNG streams are unchanged.
-  std::map<int, AddressSpace*> holders_;
+  // count; walking it in id order yields exactly the (space, processor)
+  // pairs the full by_id_ walk would (empty holdings contribute none), so
+  // seeded storm RNG streams are unchanged.
+  IdSet holders_;
   std::map<int, Tier, std::greater<int>> tiers_;  // highest priority first
   common::IntrusiveList<hw::Processor, &hw::Processor::alloc_free_node> free_;
-  // Spaces owed processors, keyed (-priority, -deficit, id): begin() is the
-  // legacy scan's pick (highest priority, largest deficit, lowest id).
-  std::set<std::tuple<int, int, int>> deficit_heap_;
-  std::set<int> surplus_;  // ids with assigned - pending > target
-  int needy_ = 0;          // spaces with assigned - pending < target
+  DeficitHeap deficit_heap_;
+  IdSet surplus_;  // ids with assigned - pending > target
+  int needy_ = 0;  // spaces with assigned - pending < target
+  // Reused by RebalanceInternal's revocation pass and RevokeSurplus, which
+  // revoke (editing surplus_ and assigned()) while they walk these copies.
+  // Neither runs nested: RebalanceInternal defers re-entry through rerun_,
+  // and it is RevokeSurplus's only caller.
+  std::vector<int> surplus_snapshot_;
+  std::vector<hw::Processor*> revoke_order_;
   bool reference_oracle_ = false;
   int64_t decisions_ = 0;
   int64_t members_touched_ = 0;

@@ -28,69 +28,85 @@ std::string FormatDuration(Duration d) {
   return buf;
 }
 
+EventHandle::SlotState* EventHandle::state() const {
+  if (block_ == nullptr) {
+    return nullptr;
+  }
+  SlotState* s = block_->engine != nullptr ? &block_->engine->slots_[slot_].state
+                                           : &block_->orphans[slot_];
+  return s->generation == generation_ ? s : nullptr;
+}
+
 bool EventHandle::pending() const {
-  return state_ != nullptr && !state_->cancelled && !state_->fired;
+  const SlotState* s = state();
+  return s != nullptr && !s->cancelled;
 }
 
 bool EventHandle::Cancel() {
-  if (!pending()) {
-    // Fired, already cancelled, or never scheduled: stays inert.  This holds
-    // even if the State is probed again after the handle was copied — fired
-    // is a one-way latch.
+  SlotState* s = state();
+  if (s == nullptr || s->cancelled) {
+    // Fired, discarded, already cancelled, or never scheduled: stays inert.
+    // A fired or discarded event's slot has moved to a later generation, so
+    // this holds even after the slot is reused.
     return false;
   }
-  state_->cancelled = true;
-  if (state_->engine != nullptr) {
-    state_->engine->NoteCancelled();
+  s->cancelled = true;
+  if (block_->engine != nullptr) {
+    block_->engine->NoteCancelled();
   }
   return true;
 }
 
 Engine::~Engine() {
-  // Outstanding handles may be cancelled after the engine is gone; sever the
-  // back-references so Cancel() degrades to a pure state flip.
-  for (const Key& key : queue_) {
-    const std::shared_ptr<EventHandle::State>& state = slots_[key.slot].state;
-    if (state != nullptr) {
-      state->engine = nullptr;
+  // Outstanding handles may be queried or cancelled after the engine is
+  // gone: leave them the slot states, so Cancel() degrades to a pure state
+  // flip on the handle's own (never-fired) event.
+  if (handles_ != nullptr) {
+    handles_->orphans.reserve(slots_.size());
+    for (const Slot& slot : slots_) {
+      handles_->orphans.push_back(slot.state);
     }
+    handles_->engine = nullptr;
   }
 }
 
-void Engine::PushEvent(Time at, std::function<void()> fn,
-                       std::shared_ptr<EventHandle::State> state) {
+uint32_t Engine::PushEvent(Time at, Callback fn) {
   uint32_t slot = 0;
   if (free_slots_.empty()) {
     slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(Slot{std::move(fn), std::move(state)});
+    slots_.push_back(Slot{std::move(fn), {}});
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
     slots_[slot].fn = std::move(fn);
-    slots_[slot].state = std::move(state);
   }
   queue_.push_back(Key{at, next_seq_++, slot});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
   ++live_events_;
+  return slot;
 }
 
 void Engine::FreeSlot(uint32_t slot) {
-  slots_[slot].fn = nullptr;
-  slots_[slot].state.reset();
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  ++s.state.generation;
+  s.state.cancelled = false;
   free_slots_.push_back(slot);
 }
 
-EventHandle Engine::ScheduleAt(Time at, std::function<void()> fn) {
+EventHandle Engine::ScheduleAt(Time at, Callback fn) {
   SA_CHECK_MSG(at >= now_, "event scheduled in the past");
-  auto state = std::make_shared<EventHandle::State>();
-  state->engine = this;
-  PushEvent(at, std::move(fn), state);
-  return EventHandle(std::move(state));
+  if (handles_ == nullptr) {
+    handles_ = std::make_shared<EventHandle::Block>();
+    handles_->engine = this;
+  }
+  const uint32_t slot = PushEvent(at, std::move(fn));
+  return EventHandle(handles_, slot, slots_[slot].state.generation);
 }
 
-void Engine::Schedule(Time at, std::function<void()> fn) {
+void Engine::Schedule(Time at, Callback fn) {
   SA_CHECK_MSG(at >= now_, "event scheduled in the past");
-  PushEvent(at, std::move(fn), nullptr);
+  PushEvent(at, std::move(fn));
 }
 
 void Engine::NoteCancelled() {
@@ -135,12 +151,10 @@ bool Engine::Step() {
   SA_CHECK(key.at >= now_);
   now_ = key.at;
   // Move the callback out before running it: it may schedule events, which
-  // can reuse this slot or grow the slot vector under it.
-  Slot& slot = slots_[key.slot];
-  std::function<void()> fn = std::move(slot.fn);
-  if (slot.state != nullptr) {
-    slot.state->fired = true;
-  }
+  // can reuse this slot or grow the slot vector under it.  Freeing the slot
+  // first also retires its generation, so the event's handle reads fired
+  // from inside the callback.
+  Callback fn = std::move(slots_[key.slot].fn);
   FreeSlot(key.slot);
   ++events_fired_;
   fn();

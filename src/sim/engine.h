@@ -3,22 +3,22 @@
 // A single Engine owns the virtual clock and a min-heap of scheduled events.
 // Events scheduled for the same instant fire in scheduling order (stable FIFO
 // by sequence number), which keeps runs deterministic.  The heap holds only
-// 24-byte (at, seq, slot) keys; each event's callback and handle state live
-// in a slot vector whose slots are recycled once the event fires or is
-// discarded.  Cancellation is lazy: a cancelled heap entry stays in the heap
-// and is discarded when it reaches the top, but the engine tracks
-// live-vs-dead counts exactly (pending_events never counts cancelled
+// 24-byte (at, seq, slot) keys; each event's callback and its (generation,
+// cancelled) word live in a slot vector whose slots are recycled once the
+// event fires or is discarded.  Cancellation is lazy: a cancelled heap entry
+// stays in the heap and is discarded when it reaches the top, but the engine
+// tracks live-vs-dead counts exactly (pending_events never counts cancelled
 // entries) and compacts the heap when more than half of it is dead.
 
 #ifndef SA_SIM_ENGINE_H_
 #define SA_SIM_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/common/assert.h"
+#include "src/sim/callback.h"
 #include "src/sim/time.h"
 #include "src/trace/trace.h"
 
@@ -37,6 +37,13 @@ class Engine;
 //     handle is later Reset() or reassigned and even if the engine has been
 //     destroyed.  Double-cancel likewise returns false the second time.
 //   - pending() is true only between scheduling and fire/cancel.
+//
+// A handle is the event's (slot, generation) pair.  A slot's generation
+// advances each time the slot is emptied, so a handle whose event fired or
+// was discarded never matches the slot's next occupant.  Handles share one
+// liveness block per engine; when the engine dies it hands the block its
+// slots' (generation, cancelled) words, so a handle to a never-fired event
+// still reads pending and can still be cancelled (a pure state flip).
 class EventHandle {
  public:
   EventHandle() = default;
@@ -47,17 +54,31 @@ class EventHandle {
   // Cancels the event if still pending.  Returns true if it was pending.
   bool Cancel();
 
-  void Reset() { state_.reset(); }
+  void Reset() { block_.reset(); }
 
  private:
   friend class Engine;
-  struct State {
+  // Per-slot state a handle checks: the occupant's generation, and whether
+  // that occupant was cancelled.
+  struct SlotState {
+    uint32_t generation = 0;
     bool cancelled = false;
-    bool fired = false;
-    Engine* engine = nullptr;  // nulled when the engine dies first
   };
-  explicit EventHandle(std::shared_ptr<State> state) : state_(std::move(state)) {}
-  std::shared_ptr<State> state_;
+  // Shared by an engine and its handles.  `orphans` is filled from the
+  // engine's slots when the engine dies.
+  struct Block {
+    Engine* engine = nullptr;
+    std::vector<SlotState> orphans;
+  };
+  EventHandle(std::shared_ptr<Block> block, uint32_t slot, uint32_t generation)
+      : block_(std::move(block)), slot_(slot), generation_(generation) {}
+  // The slot state this handle's event owns, or null if the event fired,
+  // was discarded, or the handle is inert.
+  SlotState* state() const;
+
+  std::shared_ptr<Block> block_;
+  uint32_t slot_ = 0;
+  uint32_t generation_ = 0;
 };
 
 class Engine {
@@ -70,20 +91,20 @@ class Engine {
   Time now() const { return now_; }
 
   // Schedules `fn` to run at absolute virtual time `at` (>= now).
-  EventHandle ScheduleAt(Time at, std::function<void()> fn);
+  EventHandle ScheduleAt(Time at, Callback fn);
 
   // Schedules `fn` to run `delay` (>= 0) after now.
-  EventHandle ScheduleAfter(Duration delay, std::function<void()> fn) {
+  EventHandle ScheduleAfter(Duration delay, Callback fn) {
     SA_CHECK(delay >= 0);
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
   // Handle-free variants for fire-and-forget events that will never be
-  // cancelled or queried: skips the shared_ptr control-block allocation the
-  // handle needs.  This is the hot path — most simulation events (span
-  // completions, I/O completions, timer re-arms) are never cancelled.
-  void Schedule(Time at, std::function<void()> fn);
-  void ScheduleIn(Duration delay, std::function<void()> fn) {
+  // cancelled or queried: no handle is built, so no reference to the
+  // liveness block is taken.  Most simulation events (span completions,
+  // I/O completions, timer re-arms) are never cancelled.
+  void Schedule(Time at, Callback fn);
+  void ScheduleIn(Duration delay, Callback fn) {
     SA_CHECK(delay >= 0);
     Schedule(now_ + delay, std::move(fn));
   }
@@ -134,20 +155,18 @@ class Engine {
     }
   };
   struct Slot {
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;  // null for handle-free events
+    Callback fn;
+    EventHandle::SlotState state;
   };
 
-  bool Cancelled(const Key& key) const {
-    const Slot& s = slots_[key.slot];
-    return s.state != nullptr && s.state->cancelled;
-  }
-  // Empties a slot (dropping its callback's captures) for reuse.
+  bool Cancelled(const Key& key) const { return slots_[key.slot].state.cancelled; }
+  // Empties a slot (dropping its callback's captures) for reuse, advancing
+  // its generation so no handle to the old occupant matches again.
   void FreeSlot(uint32_t slot);
   // Discards cancelled entries sitting at the top of the heap.
   void DropCancelledTop();
-  void PushEvent(Time at, std::function<void()> fn,
-                 std::shared_ptr<EventHandle::State> state);
+  // Returns the slot the event landed in.
+  uint32_t PushEvent(Time at, Callback fn);
   // EventHandle::Cancel() notification: one live entry became dead.
   void NoteCancelled();
   // Rebuilds the heap without its dead entries once >50% are dead.
@@ -160,6 +179,7 @@ class Engine {
   std::vector<Key> queue_;     // min-heap via std::push_heap/pop_heap
   std::vector<Slot> slots_;    // event payloads, indexed by Key::slot
   std::vector<uint32_t> free_slots_;  // empty slots, reused last-freed first
+  std::shared_ptr<EventHandle::Block> handles_;  // made by the first ScheduleAt
   trace::TraceBuffer* tracer_ = nullptr;
 };
 

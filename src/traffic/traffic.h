@@ -23,7 +23,6 @@
 #define SA_TRAFFIC_TRAFFIC_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -126,8 +125,11 @@ struct TenantStats {
   int64_t completions = 0;
   int64_t completed_violations = 0;  // completed, but over the SLO bound
   trace::LatencyHistogram sojourn;
-  common::Samples samples;                   // iff record_samples
-  std::map<int64_t, sim::Time> outstanding;  // request seq -> arrival time
+  common::Samples samples;  // iff record_samples
+  // Arrival time of every request, indexed by its sequence number (the
+  // tenant's arrival count when it arrived); kServed once it completed.
+  std::vector<sim::Time> arrived_at;
+  static constexpr sim::Time kServed = -1;
 };
 
 class TrafficGenerator {

@@ -58,7 +58,7 @@ class VcpuBackend {
   // runnable threads with the vcpu whose context we can charge costs to.
   // The SA backend issues Table-3 downcalls from here; `resume` continues
   // the interrupted user path.
-  virtual void NotifyParallelism(Vcpu* v, std::function<void()> resume) = 0;
+  virtual void NotifyParallelism(Vcpu* v, sim::Callback resume) = 0;
 
   // A thread was loaded into / unloaded from a virtual processor (the SA
   // backend records which user-level thread runs in which activation).

@@ -114,7 +114,7 @@ void FastThreads::ParkHalted(Vcpu* v) {
   }
 }
 
-void FastThreads::ChargeMgmt(Vcpu* v, sim::Duration d, std::function<void()> fn) {
+void FastThreads::ChargeMgmt(Vcpu* v, sim::Duration d, sim::Callback fn) {
   if (halted_) {
     ParkHalted(v);
     return;

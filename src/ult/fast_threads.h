@@ -175,7 +175,7 @@ class FastThreads {
 
   // Charge a management span (non-preemptible; see file comment) on v's
   // processor, then run `fn`.
-  void ChargeMgmt(Vcpu* v, sim::Duration d, std::function<void()> fn);
+  void ChargeMgmt(Vcpu* v, sim::Duration d, sim::Callback fn);
 
   // Interpret the pending op of `t` (public for the runtime facade).
   void Interpret(Tcb* t);

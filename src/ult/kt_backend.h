@@ -44,7 +44,7 @@ class KtBackend : public VcpuBackend, public kern::KThreadHost {
   void KernelSignal(Vcpu* v, Tcb* t, int event_id) override;
   void OnIdle(Vcpu* v) override;
   void OnIdleWake(Vcpu* v) override {}
-  void NotifyParallelism(Vcpu* v, std::function<void()> resume) override { resume(); }
+  void NotifyParallelism(Vcpu* v, sim::Callback resume) override { resume(); }
   sim::Duration ForkOverhead() const override { return 0; }
   sim::Duration WaitOverhead() const override { return 0; }
   sim::Duration ResumeCheckOverhead() const override { return 0; }

@@ -442,7 +442,7 @@ void SaBackend::OnIdle(Vcpu* v) {
 
 void SaBackend::OnIdleWake(Vcpu* v) { v->hysteresis.Cancel(); }
 
-void SaBackend::NotifyParallelism(Vcpu* v, std::function<void()> resume) {
+void SaBackend::NotifyParallelism(Vcpu* v, sim::Callback resume) {
   // Notify only on a *transition*: more runnable threads than processors,
   // and more than the demand the kernel already knows about (the demand is
   // persistent kernel state, so no request tracking is needed — if nothing

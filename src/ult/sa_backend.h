@@ -51,7 +51,7 @@ class SaBackend : public VcpuBackend, public kern::KThreadHost, public core::Upc
   void KernelSignal(Vcpu* v, Tcb* t, int event_id) override;
   void OnIdle(Vcpu* v) override;
   void OnIdleWake(Vcpu* v) override;
-  void NotifyParallelism(Vcpu* v, std::function<void()> resume) override;
+  void NotifyParallelism(Vcpu* v, sim::Callback resume) override;
   void OnThreadLoaded(Vcpu* v, Tcb* t) override;
   void OnThreadUnloaded(Vcpu* v) override;
   sim::Duration ForkOverhead() const override;

@@ -258,6 +258,58 @@ TEST(EngineSlots, CancelCompactThenScheduleKeepsOrder) {
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
+// A handle names its event by (slot, generation).  Once the event leaves its
+// slot — by firing, or by being cancelled and compacted away — the slot's
+// next occupant must be out of the old handle's reach.
+TEST(EngineSlots, StaleHandleNeverCancelsTheSlotsNextEvent) {
+  {
+    // Fired, then the slot is reused: slots are reused last-freed first, so
+    // the next event lands in the fired event's slot.
+    Engine e;
+    EventHandle fired = e.ScheduleAt(Usec(1), [] {});
+    ASSERT_TRUE(e.Step());
+    int next_ran = 0;
+    EventHandle next = e.ScheduleAt(Usec(2), [&next_ran] { ++next_ran; });
+    ASSERT_EQ(e.pending_events(), 1u);
+    EXPECT_FALSE(fired.pending());
+    EXPECT_FALSE(fired.Cancel());
+    EXPECT_EQ(e.pending_events(), 1u);
+    EXPECT_TRUE(next.pending());
+    e.Run();
+    EXPECT_EQ(next_ran, 1);
+  }
+  {
+    // Cancelled, compacted away, then every freed slot is reused.
+    Engine e;
+    constexpr int kN = 64;  // the smallest heap that compacts
+    std::vector<EventHandle> old;
+    for (int i = 0; i < kN; ++i) {
+      old.push_back(e.ScheduleAt(Usec(10 + i), [] {}));
+    }
+    constexpr int kCancelled = kN / 2 + 1;  // crosses the half-dead mark
+    for (int i = 0; i < kCancelled; ++i) {
+      ASSERT_TRUE(old[static_cast<size_t>(i)].Cancel());
+    }
+    int new_ran = 0;
+    std::vector<EventHandle> fresh;
+    for (int i = 0; i < kCancelled; ++i) {
+      fresh.push_back(e.ScheduleAt(Usec(5), [&new_ran] { ++new_ran; }));
+    }
+    const size_t pending = e.pending_events();
+    ASSERT_EQ(pending, static_cast<size_t>(kN));
+    for (int i = 0; i < kCancelled; ++i) {
+      EXPECT_FALSE(old[static_cast<size_t>(i)].pending());
+      EXPECT_FALSE(old[static_cast<size_t>(i)].Cancel());
+    }
+    EXPECT_EQ(e.pending_events(), pending);
+    for (const EventHandle& h : fresh) {
+      EXPECT_TRUE(h.pending());
+    }
+    e.Run();
+    EXPECT_EQ(new_ran, kCancelled);
+  }
+}
+
 TEST(EngineSlots, PendingHandleCancelledAfterEngineDiesStaysInert) {
   EventHandle h;
   auto token = std::make_shared<int>(1);
